@@ -6,17 +6,14 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"time"
 
 	"witrack/internal/body"
 	"witrack/internal/dsp"
-	"witrack/internal/fault"
 	"witrack/internal/fmcw"
 	"witrack/internal/geom"
-	"witrack/internal/locate"
 	"witrack/internal/motion"
 	"witrack/internal/rf"
 	"witrack/internal/track"
@@ -72,7 +69,7 @@ type Sample struct {
 	// Degraded reports that the fix was solved on a reduced antenna
 	// subset because one or more antennas were unhealthy (dark, NaN-
 	// poisoned) — still a real 3D fix, but with worse dilution of
-	// precision. Always false on unmonitored (fault-free) runs.
+	// precision. Never set while every antenna delivers healthy frames.
 	Degraded bool
 	// Truth is the simulated ground-truth body center at T (the VICON
 	// substitute; empty when tracking real hardware).
@@ -98,65 +95,17 @@ type RunResult struct {
 	Frames int
 }
 
-// Device is a simulated WiTrack unit. A device runs one trajectory at a
-// time: Run and Stream drive the same staged pipeline over the device's
-// trackers and RNG and must not be called concurrently on one device.
+// Device is a simulated WiTrack unit tracking one person. A device runs
+// one trajectory at a time: Run and Stream drive the same staged
+// pipeline over the device's trackers and RNG and must not be called
+// concurrently on one device.
 type Device struct {
-	cfg      Config
-	synth    *fmcw.Synthesizer
-	prop     *rf.Propagator
+	pipeCore
 	trackers []*track.Tracker
-	locator  *locate.Locator
-	rng      *rand.Rand
-	// ring recycles FrameBatch buffers across the device's runs: one
-	// trajectory at a time, so successive Run/Stream calls reuse the
-	// frame memory the previous run warmed up.
-	ring *batchRing
 
 	// RecordSpectrograms retains raw magnitude frames (memory heavy;
 	// used for Fig. 3/Fig. 5 generation).
 	RecordSpectrograms bool
-
-	// Workers is the number of per-antenna pipeline workers (stage 2).
-	// 0 means one per receive antenna — the default and the fastest;
-	// 1 degenerates to a fully serial processing stage (useful for
-	// measuring the parallel speedup). Values above the antenna count
-	// are capped.
-	Workers int
-
-	// Pool, when non-nil, is a shared processing-slot pool bounding how
-	// much of this device's pipeline computes concurrently with every
-	// other device on the same pool — the multi-session daemon's
-	// fairness knob. nil (the default) leaves the run unpooled. Output
-	// is bit-identical either way (see WorkerPool).
-	Pool *WorkerPool
-
-	// Batch, when non-nil, routes this device's frame-level RFFT batch
-	// calls (the time-domain sweep path) through a shared cross-session
-	// BatchScheduler, so transforms land in combined stage-interleaved
-	// calls with every other pipeline on the same scheduler. Output is
-	// bit-identical with or without it (see BatchScheduler). nil (the
-	// default) keeps transforms private to this device.
-	Batch *BatchClient
-
-	// MonitorHealth turns on per-antenna health tracking even without an
-	// installed injector: unhealthy frames (NaN/Inf bins, all-zero) are
-	// quarantined before they reach the trackers, sustained damage takes
-	// the antenna out of the solve, and fixes from a reduced antenna set
-	// are flagged Degraded. Use it when streaming untrusted input (a
-	// recovered corrupt trace, live hardware). InjectFaults implies it.
-	MonitorHealth bool
-
-	// FrameDeadline, when positive, arms a watchdog on every run: a
-	// source that takes longer than this to produce a frame ends the run
-	// with a descriptive RunError instead of wedging the pipeline
-	// forever. Zero (the default) trusts the source.
-	FrameDeadline time.Duration
-
-	// faults, when non-nil, is the deterministic injector driving this
-	// device's chaos runs; runErr latches why the last run ended early.
-	faults *fault.Injector
-	runErr error
 
 	// sim holds the subject's radar-reflection state (torso patch
 	// wander, gait parts, gesture arm).
@@ -198,44 +147,18 @@ const perAntennaWanderTau = 0.12
 
 // NewDevice validates the configuration and builds the device.
 func NewDevice(cfg Config) (*Device, error) {
-	if err := cfg.Radio.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if err := cfg.Array.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if cfg.Scene == nil {
-		return nil, fmt.Errorf("core: nil scene")
-	}
-	if cfg.Radio.ADCBits > 0 && !cfg.SlowSynth {
-		return nil, fmt.Errorf("core: ADCBits=%d requires SlowSynth (the fast path synthesizes spectra directly and never digitizes time-domain samples)", cfg.Radio.ADCBits)
-	}
-	synth := fmcw.NewSynthesizer(cfg.Radio)
-	loc, err := locate.New(cfg.Array)
+	c, err := newPipeCore(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, err
 	}
-	d := &Device{
-		cfg:     cfg,
-		synth:   synth,
-		prop:    rf.NewPropagator(cfg.Scene, cfg.Array, cfg.Radio),
-		locator: loc,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		ring:    newBatchRing(ringCapacity),
-	}
+	d := &Device{pipeCore: c}
 	d.sim = newBodySim(cfg.Subject, len(cfg.Array.Rx), d.rng)
-	tc := track.DefaultConfig(cfg.Radio.BinDistance(), cfg.Radio.FrameInterval(), synth.NoiseBinSigma())
-	if cfg.TrackerOverride != nil {
-		cfg.TrackerOverride(&tc)
-	}
+	tc := d.trackerConfig()
 	for range cfg.Array.Rx {
 		d.trackers = append(d.trackers, track.New(tc))
 	}
 	return d, nil
 }
-
-// Config returns the device configuration.
-func (d *Device) Config() Config { return d.cfg }
 
 // Synthesizer exposes the radio synthesizer (for calibration in tests).
 func (d *Device) Synthesizer() *fmcw.Synthesizer { return d.synth }
@@ -257,126 +180,33 @@ func (d *Device) reflectors(st motion.BodyState) [][]reflector {
 	return d.sim.reflectors(st, d.cfg.Array.Tx, len(d.cfg.Array.Rx), d.cfg.Radio.FrameInterval())
 }
 
-// antennaScratch is one pipeline worker's per-antenna reusable buffers:
-// the path list, the spectrum frame, and the time-domain sweep scratch
-// (created on first use; it references the shared immutable FFT plan but
-// its buffers belong to this antenna alone). Each antenna is processed
-// by exactly one goroutine, so the buffers need no synchronization.
-type antennaScratch struct {
-	paths []fmcw.Path
-	spec  dsp.ComplexFrame
-	sweep *fmcw.SweepScratch
-	prec  dsp.Precision
-	// batch, when non-nil, is installed on the sweep scratch so this
-	// antenna's frame transforms coalesce with other pipelines'.
-	batch *BatchClient
-
-	// Fault-injection and health-monitoring state (used only on
-	// monitored pipelines): faultBuf is the corruption scratch copy,
-	// last/haveLast the stale-frame history for Stuck windows, badStreak
-	// the consecutive-unhealthy count behind the dark escalation.
-	faultBuf  dsp.ComplexFrame
-	last      dsp.ComplexFrame
-	haveLast  bool
-	badStreak int
+// antEstimate is one antenna's per-frame tracker output.
+type antEstimate struct {
+	est track.Estimate
+	mag dsp.Frame // only set when recording spectrograms
 }
 
-// materialize returns antenna k's complex frame for batch b: the eager
-// frame if the source provided one, otherwise the deferred deterministic
-// work — either the fast path's spectral synthesis (static paths, then
-// each target's paths in order, then the pre-drawn noise) or the slow
-// path's window + real-input FFT + coherent averaging of raw sweeps —
-// reusing the worker's scratch. The operation order matches the fused
-// serial synthesis exactly, so the result is bit-identical to what the
-// serial loop produced.
-func (w *antennaScratch) materialize(synth *fmcw.Synthesizer, prop *rf.Propagator, k int, b *FrameBatch) dsp.ComplexFrame {
-	switch {
-	case b.sweeps16 != nil:
-		// Quantized sweeps take precedence over the float64 synthesis
-		// scratch: the codes are what the modeled ADC output, and routing
-		// them through the fused dequantize+window kernels keeps live,
-		// recorded, and replayed runs bit-identical.
-		if w.sweep == nil {
-			w.sweep = synth.NewSweepScratchPrecision(w.prec)
-			if w.batch != nil {
-				w.sweep.SetBatcher(w.batch)
-			}
-		}
-		w.spec = synth.ComplexFrameFromSweepsInt16Into(w.spec, b.sweeps16[k], b.scale16, w.sweep)
-		return w.spec
-	case b.sweeps != nil:
-		if w.sweep == nil {
-			w.sweep = synth.NewSweepScratchPrecision(w.prec)
-			if w.batch != nil {
-				w.sweep.SetBatcher(w.batch)
-			}
-		}
-		w.spec = synth.ComplexFrameFromSweepsInto(w.spec, b.sweeps[k], w.sweep)
-		return w.spec
-	case b.synth != nil:
-		j := &b.synth[k]
-		w.paths = append(w.paths[:0], prop.StaticPaths(k)...)
-		for _, r := range j.targets {
-			w.paths = prop.AppendTargetPaths(w.paths, k, r.pt, r.rcs)
-		}
-		w.spec = synth.PathSpectrum(w.paths, w.spec)
-		fmcw.AddNoise(w.spec, j.noise)
-		return w.spec
-	default:
-		return b.Frames[k]
-	}
-}
-
-// antResult is one antenna's per-frame output inside the pipeline.
-type antResult struct {
-	est  track.Estimate
-	mag  dsp.Frame // only set when recording spectrograms
-	dark bool      // monitored pipelines: exclude this antenna from the solve
-}
-
-// stream drives the staged pipeline over src and calls emit with each
-// fused sample in frame order, together with the frame's per-antenna
-// estimates and (when recording) magnitude frames. emit must not retain
-// the slices. It returns the accumulated signal-processing CPU time
-// (tracking + localization, across all workers) — the paper's §7 budget
-// quantity.
+// stream runs the pipeline over src with the single-person tracker
+// stage — a track.Tracker per antenna and a SolveMasked fuse that
+// solves on the healthy antennas, flagging a fix from fewer than all
+// of them Degraded — and calls emit with each fused sample in frame
+// order, together with the frame's per-antenna estimates and (when
+// recording) magnitude frames. emit must not retain the slices. It
+// returns the accumulated signal-processing CPU time (tracking +
+// localization, across all workers) — the paper's §7 budget quantity.
 func (d *Device) stream(ctx context.Context, src FrameSource,
 	emit func(s Sample, ests []track.Estimate, mags []dsp.Frame) bool) time.Duration {
 	nRx := len(d.cfg.Array.Rx)
-	scratch := make([]antennaScratch, nRx)
-	for k := range scratch {
-		scratch[k].prec = d.cfg.Precision
-		scratch[k].batch = d.Batch
-	}
 	procNS := make([]int64, nRx)
 	var locateNS int64
 
-	// Monitored pipelines (an installed injector, or MonitorHealth)
-	// take a health-checked processing path; unmonitored pipelines run
-	// the exact historical code, bit for bit.
-	d.runErr = nil
-	monitor := d.faults != nil || d.MonitorHealth
-	src, wd := guardSource(src, d.faults, d.FrameDeadline)
-
-	proc := func(k int, b *FrameBatch) antResult {
-		frame := scratch[k].materialize(d.synth, d.prop, k, b)
+	step := func(k int, frame dsp.ComplexFrame, healthy bool) antEstimate {
 		start := time.Now()
-		var r antResult
-		if monitor {
-			if d.faults != nil {
-				frame = scratch[k].injectFault(d.faults, b.Index, k, frame)
-			}
-			healthy, dark := scratch[k].health(frame)
-			if healthy {
-				r.est = d.trackers[k].Push(frame)
-			} else {
-				// Quarantine: the damaged frame must reach neither the
-				// tracker's background state nor its measurement chain.
-				r.est = d.trackers[k].Coast()
-				r.dark = dark
-			}
-		} else {
+		var r antEstimate
+		if healthy {
 			r.est = d.trackers[k].Push(frame)
+		} else {
+			r.est = d.trackers[k].Coast()
 		}
 		procNS[k] += time.Since(start).Nanoseconds()
 		if d.RecordSpectrograms {
@@ -387,13 +217,11 @@ func (d *Device) stream(ctx context.Context, src FrameSource,
 
 	ests := make([]track.Estimate, nRx)
 	mags := make([]dsp.Frame, nRx)
-	healthy := make([]bool, nRx)
-	fuse := func(b *FrameBatch, rs []antResult) bool {
+	fuse := func(b *FrameBatch, outs []antEstimate, solvable []bool) bool {
 		movingCount := 0
-		for k, r := range rs {
+		for k, r := range outs {
 			ests[k] = r.est
 			mags[k] = r.mag
-			healthy[k] = !r.dark
 			if r.est.Moving {
 				movingCount++
 			}
@@ -404,27 +232,17 @@ func (d *Device) stream(ctx context.Context, src FrameSource,
 			sample.TruthMoving = b.States[0].Moving
 		}
 		start := time.Now()
-		if monitor {
-			if pos, used, err := d.locator.SolveMasked(ests, healthy); err == nil {
-				sample.Pos = pos
-				sample.Valid = true
-				sample.Moving = movingCount >= 2
-				sample.Degraded = used < nRx
-			}
-		} else if pos, err := d.locator.Solve(ests); err == nil {
+		if pos, used, err := d.locator.SolveMasked(ests, solvable); err == nil {
 			sample.Pos = pos
 			sample.Valid = true
 			sample.Moving = movingCount >= 2
+			sample.Degraded = used < nRx
 		}
 		locateNS += time.Since(start).Nanoseconds()
 		return emit(sample, ests, mags)
 	}
 
-	runPipeline(ctx, src, d.Workers, d.Pool, proc, fuse)
-	if wd != nil {
-		wd.shutdown()
-		d.runErr = wd.err
-	}
+	stream(&d.pipeCore, ctx, src, step, fuse)
 	total := locateNS
 	for _, ns := range procNS {
 		total += ns
@@ -432,31 +250,19 @@ func (d *Device) stream(ctx context.Context, src FrameSource,
 	return time.Duration(total)
 }
 
-// simSource wraps the device's simulator as the pipeline's stage-1
-// source for the given trajectory.
-func (d *Device) simSource(traj motion.Trajectory) *simSource {
-	return newSimSource(d.synth, d.prop, d.rng,
-		[]*bodySim{d.sim}, []motion.Trajectory{traj},
-		d.cfg.Array.Tx, len(d.cfg.Array.Rx), d.cfg.Radio.FrameInterval(), d.cfg.SlowSynth, d.ring)
+// trajSource is the simulator source for one trajectory of the
+// device's subject.
+func (d *Device) trajSource(traj motion.Trajectory) *simSource {
+	return d.simSource([]*bodySim{d.sim}, []motion.Trajectory{traj})
 }
 
 // streamTo launches the pipeline over src in a goroutine and returns
 // the channel its samples are delivered on, closed at end of stream or
 // cancellation.
 func (d *Device) streamTo(ctx context.Context, src FrameSource) <-chan Sample {
-	out := make(chan Sample, pipelineDepth)
-	go func() {
-		defer close(out)
-		d.stream(ctx, src, func(s Sample, _ []track.Estimate, _ []dsp.Frame) bool {
-			select {
-			case out <- s:
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		})
-	}()
-	return out
+	return streamTo(ctx, func(emit func(Sample) bool) {
+		d.stream(ctx, src, func(s Sample, _ []track.Estimate, _ []dsp.Frame) bool { return emit(s) })
+	})
 }
 
 // Stream tracks the trajectory and delivers location samples as they
@@ -466,7 +272,7 @@ func (d *Device) streamTo(ctx context.Context, src FrameSource) <-chan Sample {
 // Run's: the simulation RNG is consumed in serial frame order by the
 // source stage; only deterministic processing fans out.
 func (d *Device) Stream(ctx context.Context, traj motion.Trajectory) <-chan Sample {
-	return d.streamTo(ctx, d.simSource(traj))
+	return d.streamTo(ctx, d.trajSource(traj))
 }
 
 // StreamFrom runs the pipeline over an arbitrary frame source (a
@@ -474,8 +280,8 @@ func (d *Device) Stream(ctx context.Context, traj motion.Trajectory) <-chan Samp
 // simulator. It returns an error if the source's antenna count does
 // not match the device's array.
 func (d *Device) StreamFrom(ctx context.Context, src FrameSource) (<-chan Sample, error) {
-	if got, want := src.NumRx(), len(d.cfg.Array.Rx); got != want {
-		return nil, fmt.Errorf("core: source has %d antennas, device array has %d", got, want)
+	if err := d.checkSource(src); err != nil {
+		return nil, err
 	}
 	return d.streamTo(ctx, src), nil
 }
@@ -485,7 +291,7 @@ func (d *Device) StreamFrom(ctx context.Context, src FrameSource) (<-chan Sample
 // pipeline run to completion with all diagnostics collected.
 func (d *Device) Run(traj motion.Trajectory) *RunResult {
 	nRx := len(d.cfg.Array.Rx)
-	src := d.simSource(traj)
+	src := d.trajSource(traj)
 	// The source knows the run length up front; pre-sizing the result
 	// slices keeps append-growth reallocations out of the streaming loop.
 	nFrames := src.Frames()

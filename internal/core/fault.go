@@ -19,57 +19,33 @@ const darkAfter = 8
 
 // InjectFaults installs a deterministic fault injector on the device:
 // subsequent runs drop and corrupt frames per the schedule, and the
-// pipeline switches to health-monitored processing (quarantining
-// unhealthy frames, coasting trackers through them, and solving on the
-// healthy antenna subset — see stream). It validates the schedule
-// against the device's array. Install before a run, not during one;
-// InjectFaults(fault.Schedule{}) effectively clears injection while
-// keeping monitoring on.
-func (d *Device) InjectFaults(s fault.Schedule) error {
-	if err := s.Validate(len(d.cfg.Array.Rx)); err != nil {
+// always-on health monitoring quarantines the damage (coasting trackers
+// through unhealthy frames and solving on the healthy antenna subset —
+// see stream). It validates the schedule against the device's array.
+// Install before a run, not during one; InjectFaults(fault.Schedule{})
+// effectively clears injection.
+func (c *pipeCore) InjectFaults(s fault.Schedule) error {
+	if err := s.Validate(len(c.cfg.Array.Rx)); err != nil {
 		return err
 	}
-	d.faults = fault.New(s)
+	c.faults = fault.New(s)
 	return nil
 }
 
 // FaultStats returns the injector's counters (zero when no injector is
 // installed). Stable once a run's output channel has closed.
-func (d *Device) FaultStats() fault.Stats {
-	if d.faults == nil {
+func (c *pipeCore) FaultStats() fault.Stats {
+	if c.faults == nil {
 		return fault.Stats{}
 	}
-	return d.faults.Stats()
+	return c.faults.Stats()
 }
 
 // RunError reports why the most recent run ended early (currently: the
 // frame-deadline watchdog), or nil for a clean end of stream. Valid
 // once the run's output channel has closed; reset at the start of the
 // next run.
-func (d *Device) RunError() error { return d.runErr }
-
-// InjectFaults installs a deterministic fault injector on the k-person
-// device — MultiDevice's counterpart of Device.InjectFaults.
-func (d *MultiDevice) InjectFaults(s fault.Schedule) error {
-	if err := s.Validate(len(d.cfg.Array.Rx)); err != nil {
-		return err
-	}
-	d.faults = fault.New(s)
-	return nil
-}
-
-// FaultStats returns the injector's counters (zero when no injector is
-// installed).
-func (d *MultiDevice) FaultStats() fault.Stats {
-	if d.faults == nil {
-		return fault.Stats{}
-	}
-	return d.faults.Stats()
-}
-
-// RunError reports why the most recent run ended early, or nil. See
-// Device.RunError.
-func (d *MultiDevice) RunError() error { return d.runErr }
+func (c *pipeCore) RunError() error { return c.runErr }
 
 // faultSource filters a FrameSource through the injector's whole-frame
 // drop decisions. Dropping happens after the source produced the batch
@@ -202,8 +178,8 @@ func guardSource(src FrameSource, inj *fault.Injector, deadline time.Duration) (
 // frameHealthy reports whether a frame is numerically usable: finite in
 // every bin and not all-zero (a dark antenna delivers pure zeros, and
 // feeding those to background subtraction would register the entire
-// previous frame as motion energy). Cost is one linear scan; it runs
-// only on monitored (fault-injected or explicitly monitored) pipelines.
+// previous frame as motion energy). Cost is one linear scan per antenna
+// per frame; every run pays it.
 func frameHealthy(f dsp.ComplexFrame) bool {
 	power := 0.0
 	for _, c := range f {

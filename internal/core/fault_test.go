@@ -6,10 +6,12 @@ import (
 	"testing"
 	"time"
 
+	"witrack/internal/body"
 	"witrack/internal/dsp"
 	"witrack/internal/fault"
 	"witrack/internal/geom"
 	"witrack/internal/motion"
+	"witrack/internal/rf"
 )
 
 // fourRxConfig returns the default deployment with the §5 robustness
@@ -116,34 +118,6 @@ func TestWatchdogCleanRunIsTransparent(t *testing.T) {
 	}
 }
 
-// TestMonitorHealthCleanRunBitIdentical pins the degradation layer's
-// zero-cost invariant: with every frame healthy, the monitored path
-// (health checks + SolveMasked) produces bit-identical samples to the
-// historical unmonitored path.
-func TestMonitorHealthCleanRunBitIdentical(t *testing.T) {
-	run := func(monitor bool) *RunResult {
-		cfg := DefaultConfig()
-		cfg.Seed = 29
-		dev, err := NewDevice(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dev.MonitorHealth = monitor
-		walk := motion.NewRandomWalk(motion.DefaultWalkConfig(testRegion(), cfg.Subject.CenterHeight(), 4, 31))
-		return dev.Run(walk)
-	}
-	plain := run(false)
-	monitored := run(true)
-	if plain.Frames != monitored.Frames {
-		t.Fatalf("frame counts differ: %d vs %d", plain.Frames, monitored.Frames)
-	}
-	for i := range plain.Samples {
-		if plain.Samples[i] != monitored.Samples[i] {
-			t.Fatalf("sample %d differs under monitoring: %+v vs %+v", i, plain.Samples[i], monitored.Samples[i])
-		}
-	}
-}
-
 // chaosSchedule is a busy multi-mechanism schedule used by the
 // determinism tests: overlapping windows of every kind.
 func chaosSchedule() fault.Schedule {
@@ -196,63 +170,119 @@ func TestFaultRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// fixFlags is the part of a single- or k-person sample the degradation
+// tests judge.
+type fixFlags struct {
+	T               float64
+	Valid, Degraded bool
+}
+
 // TestDarkAntennaDegradesGracefully: on a 4-Rx array, a permanently
 // dark antenna must shrink the solve to the healthy three — fixes keep
-// coming, flagged Degraded — instead of killing the track.
+// coming, flagged Degraded — instead of killing the track, for the
+// single-person Device and the k-person MultiDevice alike.
 func TestDarkAntennaDegradesGracefully(t *testing.T) {
 	const outageStart = 400 // frames; 5 s at 80 fps
-	cfg := fourRxConfig()
-	cfg.Seed = 61
-	dev, err := NewDevice(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.InjectFaults(fault.Schedule{Seed: 9, Windows: []fault.Window{
+	schedule := fault.Schedule{Seed: 9, Windows: []fault.Window{
 		{Kind: fault.Dark, Antenna: 3, Start: outageStart},
-	}}); err != nil {
-		t.Fatal(err)
+	}}
+	cases := []struct {
+		name string
+		// minValid is the floor on the valid fraction of outage frames.
+		minValid float64
+		run      func(t *testing.T) ([]fixFlags, fault.Stats)
+	}{
+		{"one-person", 0.9, func(t *testing.T) ([]fixFlags, fault.Stats) {
+			cfg := fourRxConfig()
+			cfg.Seed = 61
+			dev, err := NewDevice(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dev.InjectFaults(schedule); err != nil {
+				t.Fatal(err)
+			}
+			walk := motion.NewRandomWalk(motion.DefaultWalkConfig(testRegion(), cfg.Subject.CenterHeight(), 10, 43))
+			var fixes []fixFlags
+			for _, s := range dev.Run(walk).Samples {
+				fixes = append(fixes, fixFlags{s.T, s.Valid, s.Degraded})
+			}
+			return fixes, dev.FaultStats()
+		}},
+		// Walks that pause would drop every k-person fix while a body
+		// stands still and hide the result, so these never pause.
+		{"two-person", 0.85, func(t *testing.T) ([]fixFlags, fault.Stats) {
+			cfg := fourRxConfig()
+			cfg.Seed = 17
+			cfg.Scene = rf.EmptyScene()
+			subjectB := body.Panel(11, 5)[3]
+			dev, err := NewMultiDevice(cfg, subjectB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dev.InjectFaults(schedule); err != nil {
+				t.Fatal(err)
+			}
+			walk := func(r motion.Region, height float64, seed int64) motion.Trajectory {
+				wc := motion.DefaultWalkConfig(r, height, 10, seed)
+				wc.PauseProb = 0
+				return motion.NewRandomWalk(wc)
+			}
+			res := dev.Run(
+				walk(motion.Region{XMin: -3, XMax: -0.8, YMin: 3, YMax: 4.5}, cfg.Subject.CenterHeight(), 18),
+				walk(motion.Region{XMin: 0.8, XMax: 3, YMin: 5.8, YMax: 7.5}, subjectB.CenterHeight(), 19))
+			var fixes []fixFlags
+			for _, s := range res.Samples {
+				fixes = append(fixes, fixFlags{s.T, s.Valid, s.Degraded})
+			}
+			return fixes, dev.FaultStats()
+		}},
 	}
-	walk := motion.NewRandomWalk(motion.DefaultWalkConfig(testRegion(), cfg.Subject.CenterHeight(), 10, 43))
-	res := dev.Run(walk)
-
-	interval := cfg.Radio.FrameInterval()
+	interval := DefaultConfig().Radio.FrameInterval()
 	outageT := float64(outageStart+darkAfter) * interval
-	preValid, preDegraded, preN := 0, 0, 0
-	outValid, outDegraded, outN := 0, 0, 0
-	for _, s := range res.Samples {
-		switch {
-		case s.T > 2 && s.T < float64(outageStart)*interval:
-			preN++
-			if s.Valid {
-				preValid++
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fixes, stats := tc.run(t)
+			preValid, preDegraded, preN := 0, 0, 0
+			outValid, outDegraded, outN := 0, 0, 0
+			for _, s := range fixes {
+				switch {
+				case s.T > 2 && s.T < float64(outageStart)*interval:
+					preN++
+					if s.Valid {
+						preValid++
+					}
+					if s.Degraded {
+						preDegraded++
+					}
+				case s.T > outageT+0.5:
+					outN++
+					if s.Valid {
+						outValid++
+					}
+					if s.Valid && s.Degraded {
+						outDegraded++
+					}
+				}
 			}
-			if s.Degraded {
-				preDegraded++
+			t.Logf("before the outage %d/%d valid, %d Degraded; during it %d/%d valid, %d Degraded",
+				preValid, preN, preDegraded, outValid, outN, outDegraded)
+			if preN == 0 || outN == 0 {
+				t.Fatal("run too short to cover both phases")
 			}
-		case s.T > outageT+0.5:
-			outN++
-			if s.Valid {
-				outValid++
+			if preDegraded != 0 {
+				t.Fatalf("%d samples flagged Degraded before the outage", preDegraded)
 			}
-			if s.Valid && s.Degraded {
-				outDegraded++
+			if frac := float64(outValid) / float64(outN); frac < tc.minValid {
+				t.Fatalf("only %.0f%% of outage samples valid; 4-Rx array should keep locating on 3", frac*100)
 			}
-		}
-	}
-	if preN == 0 || outN == 0 {
-		t.Fatal("run too short to cover both phases")
-	}
-	if preDegraded != 0 {
-		t.Fatalf("%d samples flagged Degraded before the outage", preDegraded)
-	}
-	if frac := float64(outValid) / float64(outN); frac < 0.9 {
-		t.Fatalf("only %.0f%% of outage samples valid; 4-Rx array should keep locating on 3", frac*100)
-	}
-	if outDegraded != outValid {
-		t.Fatalf("%d/%d valid outage fixes flagged Degraded, want all", outDegraded, outValid)
-	}
-	if st := dev.FaultStats(); st.DarkFrames == 0 {
-		t.Fatalf("injector reported no dark frames: %+v", st)
+			if outDegraded != outValid {
+				t.Fatalf("%d/%d valid outage fixes flagged Degraded, want all", outDegraded, outValid)
+			}
+			if stats.DarkFrames == 0 {
+				t.Fatalf("injector reported no dark frames: %+v", stats)
+			}
+		})
 	}
 }
 

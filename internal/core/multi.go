@@ -3,17 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"time"
 
 	"witrack/internal/body"
 	"witrack/internal/dsp"
-	"witrack/internal/fault"
-	"witrack/internal/fmcw"
 	"witrack/internal/geom"
 	"witrack/internal/locate"
 	"witrack/internal/motion"
-	"witrack/internal/rf"
 	"witrack/internal/trace"
 	"witrack/internal/track"
 )
@@ -21,38 +16,14 @@ import (
 // MultiDevice tracks k concurrent movers — the paper's §10 extension
 // generalized: per-antenna k-TOF extraction, assignment disambiguation
 // across the (k!)^nRx candidate-to-target bijections (locate.SolveK),
-// and trajectory-continuity scoring. It runs the same staged streaming
-// pipeline Device uses; only the worker payload (a k-target tracker)
-// and the fusion step (the joint assignment search) differ.
+// and trajectory-continuity scoring. It is built on the same pipeline
+// core as Device; only the tracker stage differs: a k-target tracker
+// per antenna and the joint assignment search as the fusion step.
 type MultiDevice struct {
-	cfg      Config
+	pipeCore
 	subjects []body.Subject
-	synth    *fmcw.Synthesizer
-	prop     *rf.Propagator
 	trackers []*track.MultiTracker
-	locator  *locate.Locator
-	rng      *rand.Rand
 	sims     []*bodySim
-	ring     *batchRing
-
-	// Workers is the per-antenna pipeline worker count (see
-	// Device.Workers); 0 means one per receive antenna.
-	Workers int
-
-	// Pool is the shared processing-slot pool (see Device.Pool).
-	Pool *WorkerPool
-
-	// Batch is the cross-session transform coalescing handle (see
-	// Device.Batch).
-	Batch *BatchClient
-
-	// MonitorHealth/FrameDeadline mirror Device's robustness knobs (see
-	// Device.MonitorHealth and Device.FrameDeadline).
-	MonitorHealth bool
-	FrameDeadline time.Duration
-
-	faults *fault.Injector
-	runErr error
 }
 
 // MultiSample is one k-person output frame. Pos and Truth are in
@@ -61,8 +32,10 @@ type MultiSample struct {
 	T     float64
 	Pos   []geom.Vec3
 	Valid bool
-	// Degraded marks a joint fix solved on a reduced antenna subset (see
-	// Sample.Degraded).
+	// Degraded marks a joint fix solved on a reduced antenna subset:
+	// an antenna was dark (see Sample.Degraded) or its tracker had not
+	// yet acquired all k targets. Only arrays with more than three
+	// antennas have a subset left to solve on.
 	Degraded bool
 	Truth    []geom.Vec3
 }
@@ -79,77 +52,46 @@ type MultiRunResult struct {
 // subjects the device degenerates to a single-target tracker on the
 // multi-target pipeline.
 func NewMultiDevice(cfg Config, others ...body.Subject) (*MultiDevice, error) {
-	// Building the base device first validates cfg and — deliberately —
-	// reproduces the historical constructor's RNG draw order, keeping
-	// the k=2 path bit-identical to the original two-person device.
-	base, err := NewDevice(cfg)
+	c, err := newPipeCore(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, err
 	}
 	d := &MultiDevice{
-		cfg:      cfg,
+		pipeCore: c,
 		subjects: append([]body.Subject{cfg.Subject}, others...),
-		synth:    base.synth,
-		prop:     base.prop,
-		locator:  base.locator,
-		rng:      base.rng,
-		ring:     base.ring,
 	}
-	k := len(d.subjects)
-	tc := track.DefaultConfig(cfg.Radio.BinDistance(), cfg.Radio.FrameInterval(), d.synth.NoiseBinSigma())
-	if cfg.TrackerOverride != nil {
-		cfg.TrackerOverride(&tc)
-	}
+	nRx := len(cfg.Array.Rx)
+	// Discarded on purpose: this is the draw a single-person device
+	// makes for subject 0, and the k-person golden digests pin the RNG
+	// sequence that follows it.
+	newBodySim(cfg.Subject, nRx, d.rng)
+	tc := d.trackerConfig()
 	for range cfg.Array.Rx {
-		d.trackers = append(d.trackers, track.NewMulti(tc, k))
+		d.trackers = append(d.trackers, track.NewMulti(tc, len(d.subjects)))
 	}
 	for _, sub := range d.subjects {
-		d.sims = append(d.sims, newBodySim(sub, len(cfg.Array.Rx), d.rng))
+		d.sims = append(d.sims, newBodySim(sub, nRx, d.rng))
 	}
 	return d, nil
 }
 
-// Config returns the device configuration.
-func (d *MultiDevice) Config() Config { return d.cfg }
-
 // NumSubjects returns k, the concurrent-target count.
 func (d *MultiDevice) NumSubjects() int { return len(d.subjects) }
 
-// stream drives the staged pipeline over src and calls emit with each
-// fused k-person sample in frame order. The association of output
-// slots to people is carried frame to frame by SolveK's continuity
-// term (the radio cannot know identities; the paper's §10 notes only
-// trajectory consistency is available).
+// stream runs the pipeline over src with the k-person tracker stage —
+// a track.MultiTracker per antenna and a SolveK fuse — and calls emit
+// with each fused k-person sample in frame order. The association of
+// output slots to people is carried frame to frame by SolveK's
+// continuity term (the radio cannot know identities; the paper's §10
+// notes only trajectory consistency is available).
 func (d *MultiDevice) stream(ctx context.Context, src FrameSource, emit func(s MultiSample) bool) {
 	nRx := len(d.cfg.Array.Rx)
 	k := len(d.subjects)
-	scratch := make([]antennaScratch, nRx)
-	for a := range scratch {
-		scratch[a].prec = d.cfg.Precision
-		scratch[a].batch = d.Batch
-	}
-
-	d.runErr = nil
-	monitor := d.faults != nil || d.MonitorHealth
-	src, wd := guardSource(src, d.faults, d.FrameDeadline)
-
-	type multiResult struct {
-		ests []track.Estimate
-		dark bool
-	}
-	proc := func(a int, b *FrameBatch) multiResult {
-		frame := scratch[a].materialize(d.synth, d.prop, a, b)
-		if !monitor {
-			return multiResult{ests: d.trackers[a].Push(frame)}
+	step := func(a int, frame dsp.ComplexFrame, healthy bool) []track.Estimate {
+		if healthy {
+			return d.trackers[a].Push(frame)
 		}
-		if d.faults != nil {
-			frame = scratch[a].injectFault(d.faults, b.Index, a, frame)
-		}
-		healthy, dark := scratch[a].health(frame)
-		if !healthy {
-			return multiResult{ests: d.trackers[a].Coast(), dark: dark}
-		}
-		return multiResult{ests: d.trackers[a].Push(frame)}
+		return d.trackers[a].Coast()
 	}
 
 	prev := make([]geom.Vec3, k)
@@ -159,15 +101,13 @@ func (d *MultiDevice) stream(ctx context.Context, src FrameSource, emit func(s M
 	for a := range cands {
 		cands[a] = candBuf[a*k : (a+1)*k : (a+1)*k]
 	}
-	// maskedCands compacts the healthy antennas' candidate rows for the
+	// maskedCands compacts the usable antennas' candidate rows for the
 	// degraded sub-array assignment search.
 	maskedCands := make([][]float64, 0, nRx)
-	fuse := func(b *FrameBatch, rs []multiResult) bool {
-		ok := true
-		healthyCount := 0
+	fuse := func(b *FrameBatch, outs [][]track.Estimate, solvable []bool) bool {
+		usable := 0
 		var mask uint64
-		for a := 0; a < nRx; a++ {
-			ests := rs[a].ests
+		for a, ests := range outs {
 			valid := true
 			for c := 0; c < k; c++ {
 				if !ests[c].Valid {
@@ -175,18 +115,15 @@ func (d *MultiDevice) stream(ctx context.Context, src FrameSource, emit func(s M
 					break
 				}
 			}
-			if !valid || rs[a].dark {
-				ok = false
-			}
-			if valid && !rs[a].dark {
-				healthyCount++
-				mask |= 1 << uint(a)
-			}
 			if !valid {
 				continue
 			}
 			for c := 0; c < k; c++ {
 				cands[a][c] = ests[c].RoundTrip
+			}
+			if solvable[a] {
+				usable++
+				mask |= 1 << uint(a)
 			}
 		}
 		sample := MultiSample{T: b.T}
@@ -197,16 +134,16 @@ func (d *MultiDevice) stream(ctx context.Context, src FrameSource, emit func(s M
 			}
 		}
 		switch {
-		case ok:
+		case usable == nRx:
 			if pos, err := locate.SolveK(d.locator, cands, prev, havePrev); err == nil {
 				sample.Pos = pos
 				sample.Valid = true
 				copy(prev, pos)
 				havePrev = true
 			}
-		case monitor && healthyCount >= 3:
+		case usable >= 3:
 			// Graceful degradation: the joint assignment search runs on
-			// the healthy antennas' sub-array. A tracker that merely has
+			// the usable antennas' sub-array. A tracker that merely has
 			// not acquired yet (invalid estimate) degrades the fix just
 			// like a dark antenna — both starve the solve of a row.
 			if sub, err := d.locator.Sub(mask); err == nil {
@@ -228,22 +165,16 @@ func (d *MultiDevice) stream(ctx context.Context, src FrameSource, emit func(s M
 		return emit(sample)
 	}
 
-	runPipeline(ctx, src, d.Workers, d.Pool, proc, fuse)
-	if wd != nil {
-		wd.shutdown()
-		d.runErr = wd.err
-	}
+	stream(&d.pipeCore, ctx, src, step, fuse)
 }
 
-// simSource wraps the device's simulator as the pipeline source for
-// the given trajectories (one per subject, in subject order).
-func (d *MultiDevice) simSource(trajs []motion.Trajectory) (*simSource, error) {
+// trajSource is the simulator source for one trajectory per subject,
+// in subject order.
+func (d *MultiDevice) trajSource(trajs []motion.Trajectory) (*simSource, error) {
 	if len(trajs) != len(d.subjects) {
 		return nil, fmt.Errorf("core: %d trajectories for %d subjects", len(trajs), len(d.subjects))
 	}
-	return newSimSource(d.synth, d.prop, d.rng,
-		d.sims, trajs,
-		d.cfg.Array.Tx, len(d.cfg.Array.Rx), d.cfg.Radio.FrameInterval(), d.cfg.SlowSynth, d.ring), nil
+	return d.simSource(d.sims, trajs), nil
 }
 
 // Run tracks one trajectory per subject simultaneously for the
@@ -251,7 +182,7 @@ func (d *MultiDevice) simSource(trajs []motion.Trajectory) (*simSource, error) {
 // the trajectory count does not match the subject count (a programming
 // error, like a misconfigured tracker).
 func (d *MultiDevice) Run(trajs ...motion.Trajectory) *MultiRunResult {
-	src, err := d.simSource(trajs)
+	src, err := d.trajSource(trajs)
 	if err != nil {
 		panic(err)
 	}
@@ -267,19 +198,7 @@ func (d *MultiDevice) Run(trajs ...motion.Trajectory) *MultiRunResult {
 // streamTo launches the pipeline over src in a goroutine and returns
 // the delivery channel, closed at end of stream or cancellation.
 func (d *MultiDevice) streamTo(ctx context.Context, src FrameSource) <-chan MultiSample {
-	out := make(chan MultiSample, pipelineDepth)
-	go func() {
-		defer close(out)
-		d.stream(ctx, src, func(s MultiSample) bool {
-			select {
-			case out <- s:
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		})
-	}()
-	return out
+	return streamTo(ctx, func(emit func(MultiSample) bool) { d.stream(ctx, src, emit) })
 }
 
 // Stream tracks one trajectory per subject and delivers k-person
@@ -288,7 +207,7 @@ func (d *MultiDevice) streamTo(ctx context.Context, src FrameSource) <-chan Mult
 // channel closes when the shortest trajectory ends or ctx is
 // cancelled.
 func (d *MultiDevice) Stream(ctx context.Context, trajs ...motion.Trajectory) (<-chan MultiSample, error) {
-	src, err := d.simSource(trajs)
+	src, err := d.trajSource(trajs)
 	if err != nil {
 		return nil, err
 	}
@@ -299,56 +218,10 @@ func (d *MultiDevice) Stream(ctx context.Context, trajs ...motion.Trajectory) (<
 // (a recorded multi-person trace, a hardware front end) instead of the
 // built-in simulator.
 func (d *MultiDevice) StreamFrom(ctx context.Context, src FrameSource) (<-chan MultiSample, error) {
-	if got, want := src.NumRx(), len(d.cfg.Array.Rx); got != want {
-		return nil, fmt.Errorf("core: source has %d antennas, device array has %d", got, want)
+	if err := d.checkSource(src); err != nil {
+		return nil, err
 	}
 	return d.streamTo(ctx, src), nil
-}
-
-// TraceHeader returns the .wtrace header describing this device's
-// deployment — identical in shape to Device.TraceHeader; the subject
-// count is carried by the per-frame truth records (and, for scenario
-// captures, the embedded spec provenance).
-func (d *MultiDevice) TraceHeader() trace.Header {
-	return trace.Header{
-		Seed:     d.cfg.Seed,
-		Interval: d.cfg.Radio.FrameInterval(),
-		NumRx:    len(d.cfg.Array.Rx),
-		Bins:     d.cfg.Radio.RangeBins(),
-		Radio:    d.cfg.Radio,
-		Array:    d.cfg.Array,
-	}
-}
-
-// record simulates the trajectories and hands every materialized frame
-// to sink in frame order together with all subjects' ground truth —
-// the k-person counterpart of Device.record. The slices are reused
-// between calls; sink must consume them before returning.
-func (d *MultiDevice) record(trajs []motion.Trajectory,
-	sink func(frames []dsp.ComplexFrame, truths []motion.BodyState) error) error {
-	src, err := d.simSource(trajs)
-	if err != nil {
-		return err
-	}
-	nRx := len(d.cfg.Array.Rx)
-	scratch := make([]antennaScratch, nRx)
-	for a := range scratch {
-		scratch[a].prec = d.cfg.Precision
-	}
-	frames := make([]dsp.ComplexFrame, nRx)
-	for {
-		b := src.Next()
-		if b == nil {
-			return nil
-		}
-		for a := 0; a < nRx; a++ {
-			frames[a] = scratch[a].materialize(d.synth, d.prop, a, b)
-		}
-		if err := sink(frames, b.States); err != nil {
-			return err
-		}
-		src.Recycle(b)
-	}
 }
 
 // RecordTo simulates one trajectory per subject and streams every
@@ -358,15 +231,11 @@ func (d *MultiDevice) record(trajs []motion.Trajectory,
 // StreamFrom on a fresh identically-configured MultiDevice is
 // bit-identical to running the trajectories directly.
 func (d *MultiDevice) RecordTo(tw *trace.Writer, trajs ...motion.Trajectory) (int, error) {
-	n := 0
-	err := d.record(trajs, func(frames []dsp.ComplexFrame, truths []motion.BodyState) error {
-		if err := tw.WriteFrameTruths(frames, truths); err != nil {
-			return err
-		}
-		n++
-		return nil
-	})
-	return n, err
+	src, err := d.trajSource(trajs)
+	if err != nil {
+		return 0, err
+	}
+	return d.recordTo(tw, src)
 }
 
 // Reset clears tracker and body-simulation state so the device can run

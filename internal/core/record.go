@@ -8,41 +8,6 @@ import (
 	"witrack/internal/trace"
 )
 
-// record simulates the trajectory and hands every materialized frame to
-// sink in frame order, together with the frame's ground truth (nil when
-// the source carries none). The frames are exactly what the pipeline
-// workers would have produced — replaying them through StreamFrom on a
-// fresh identically-configured device is bit-identical to running the
-// trajectory directly. The frame slices are reused between calls; sink
-// must consume them before returning.
-func (d *Device) record(traj motion.Trajectory,
-	sink func(frames []dsp.ComplexFrame, truth *motion.BodyState) error) error {
-	src := d.simSource(traj)
-	nRx := len(d.cfg.Array.Rx)
-	scratch := make([]antennaScratch, nRx)
-	for k := range scratch {
-		scratch[k].prec = d.cfg.Precision
-	}
-	frames := make([]dsp.ComplexFrame, nRx)
-	for {
-		b := src.Next()
-		if b == nil {
-			return nil
-		}
-		for k := 0; k < nRx; k++ {
-			frames[k] = scratch[k].materialize(d.synth, d.prop, k, b)
-		}
-		var truth *motion.BodyState
-		if len(b.States) > 0 {
-			truth = &b.States[0]
-		}
-		if err := sink(frames, truth); err != nil {
-			return err
-		}
-		src.Recycle(b)
-	}
-}
-
 // RecordSweepsTo simulates the trajectory and streams every frame's raw
 // time-domain sweeps into tw as a sweep-domain trace (the header must
 // come from SweepTraceHeader). It requires SlowSynth — the fast path
@@ -70,13 +35,7 @@ func (d *Device) RecordSweepsTo(tw *trace.Writer, traj motion.Trajectory) (int, 
 	for k := range packed {
 		packed[k] = make(dsp.ComplexFrame, bins)
 	}
-	src := d.simSource(traj)
-	n := 0
-	for {
-		b := src.Next()
-		if b == nil {
-			return n, nil
-		}
+	return forEachBatch(d.trajSource(traj), func(b *FrameBatch) error {
 		for k := 0; k < nRx; k++ {
 			sw := b.sweeps[k]
 			dst := packed[k]
@@ -85,16 +44,8 @@ func (d *Device) RecordSweepsTo(tw *trace.Writer, traj motion.Trajectory) (int, 
 				dst[i] = complex(sw[m/ns][m%ns], sw[(m+1)/ns][(m+1)%ns])
 			}
 		}
-		var truth *motion.BodyState
-		if len(b.States) > 0 {
-			truth = &b.States[0]
-		}
-		if err := tw.WriteFrame(packed, truth); err != nil {
-			return n, err
-		}
-		n++
-		src.Recycle(b)
-	}
+		return tw.WriteFrameTruths(packed, b.States)
+	})
 }
 
 // RecordSweepsInt16To simulates the trajectory and streams every
@@ -114,23 +65,9 @@ func (d *Device) RecordSweepsInt16To(tw *trace.Writer, traj motion.Trajectory) (
 	if d.cfg.Radio.ADCBits == 0 {
 		return 0, fmt.Errorf("core: int16 sweep recording requires Radio.ADCBits (the unquantized path records float64 sweeps; use RecordSweepsTo)")
 	}
-	src := d.simSource(traj)
-	n := 0
-	for {
-		b := src.Next()
-		if b == nil {
-			return n, nil
-		}
-		var truth *motion.BodyState
-		if len(b.States) > 0 {
-			truth = &b.States[0]
-		}
-		if err := tw.WriteFrameInt16(b.codes16, truth); err != nil {
-			return n, err
-		}
-		n++
-		src.Recycle(b)
-	}
+	return forEachBatch(d.trajSource(traj), func(b *FrameBatch) error {
+		return tw.WriteFrameInt16Truths(b.codes16, b.States)
+	})
 }
 
 // Record simulates the trajectory and captures every per-antenna
@@ -145,14 +82,14 @@ func (d *Device) RecordSweepsInt16To(tw *trace.Writer, traj motion.Trajectory) (
 // disk with RecordTo instead.
 func (d *Device) Record(traj motion.Trajectory) *RecordedSource {
 	rec := &RecordedSource{Interval: d.cfg.Radio.FrameInterval()}
-	d.record(traj, func(frames []dsp.ComplexFrame, truth *motion.BodyState) error {
+	d.record(d.trajSource(traj), func(frames []dsp.ComplexFrame, truths []motion.BodyState) error {
 		cp := make([]dsp.ComplexFrame, len(frames))
 		for k, f := range frames {
 			cp[k] = append(dsp.ComplexFrame(nil), f...)
 		}
 		rec.Frames = append(rec.Frames, cp)
-		if truth != nil {
-			rec.Truth = append(rec.Truth, *truth)
+		if len(truths) > 0 {
+			rec.Truth = append(rec.Truth, truths[0])
 		}
 		return nil
 	})

@@ -11,20 +11,6 @@ import (
 	"witrack/internal/trace"
 )
 
-// TraceHeader returns the .wtrace header describing this device's
-// deployment: the sweep parameters, antenna geometry, seed, and frame
-// clock a replaying device needs to reproduce the recording conditions.
-func (d *Device) TraceHeader() trace.Header {
-	return trace.Header{
-		Seed:     d.cfg.Seed,
-		Interval: d.cfg.Radio.FrameInterval(),
-		NumRx:    len(d.cfg.Array.Rx),
-		Bins:     d.cfg.Radio.RangeBins(),
-		Radio:    d.cfg.Radio,
-		Array:    d.cfg.Array,
-	}
-}
-
 // SweepTraceHeader is TraceHeader for a sweep-domain capture: the
 // records hold raw time-domain sweeps packed pairwise into the complex
 // record layout (see trace.DomainSweeps), so a replay runs the full
@@ -64,15 +50,7 @@ func (d *Device) SweepTraceHeaderInt16() trace.Header {
 // Like Record, this consumes the device's simulation RNG exactly as a
 // live run would: record on a fresh device, replay on another.
 func (d *Device) RecordTo(tw *trace.Writer, traj motion.Trajectory) (int, error) {
-	n := 0
-	err := d.record(traj, func(frames []dsp.ComplexFrame, truth *motion.BodyState) error {
-		if err := tw.WriteFrame(frames, truth); err != nil {
-			return err
-		}
-		n++
-		return nil
-	})
-	return n, err
+	return d.recordTo(tw, d.trajSource(traj))
 }
 
 // TraceSource adapts a trace.Reader into the pipeline's FrameSource:

@@ -96,10 +96,12 @@ func NewReader(r io.Reader) (*Reader, error) {
 // trailer, a trailer/stream mismatch — remains a hard error in either
 // mode: past it there is no record boundary to resync to.
 //
-// Recover mode is for salvaging damaged captures; pair it with
-// downstream health monitoring (core's MonitorHealth), since a record
-// whose structure was itself unparseable leaves subsequent frames
-// decoded against a stale chain.
+// Recover mode is for salvaging damaged captures. It relies on the
+// downstream pipeline's health monitoring (always on in core's devices)
+// to quarantine what it cannot repair: a flipped payload bit rides the
+// delta chain into every later frame, and a record whose structure was
+// itself unparseable leaves subsequent frames decoded against a stale
+// chain.
 func (tr *Reader) SetRecover(on bool) { tr.rec = on }
 
 // Skipped returns how many corrupt records recover mode has skipped.
@@ -368,8 +370,9 @@ func (tr *Reader) nextRecord() ([]byte, error) {
 // delta instead confines the downstream error to exactly the flipped
 // bits — and when the flip landed in the stored CRC rather than the
 // payload, the chain resyncs bit-exactly. Structural damage (the layout
-// itself no longer parses) leaves the chain stale mid-record; that is
-// what downstream health monitoring is for.
+// itself no longer parses) leaves the chain stale mid-record; the
+// pipeline's always-on health monitoring quarantines what either kind
+// of damage leaves behind.
 func (tr *Reader) salvage(payload []byte) {
 	c := cursor{b: payload}
 	c.u32() // index

@@ -166,8 +166,61 @@ const (
 	FaultStuck = fault.Stuck
 )
 
+// pipeline is the control surface Device and MultiDevice share, written
+// once and promoted to both: the pipeline knobs and run reports of the
+// core device underneath.
+type pipeline struct {
+	dev interface {
+		TraceHeader() TraceHeader
+		InjectFaults(FaultSchedule) error
+		FaultStats() FaultStats
+		RunError() error
+	}
+	workers  *int
+	deadline *time.Duration
+	pool     **WorkerPool
+}
+
+// TraceHeader returns the .wtrace header describing this device's
+// deployment, ready to open a TraceWriter with.
+func (p *pipeline) TraceHeader() TraceHeader { return p.dev.TraceHeader() }
+
+// SetWorkers sets the number of per-antenna pipeline workers: 0 (the
+// default) uses one per receive antenna; 1 degenerates to a serial
+// processing stage (useful for measuring the parallel speedup).
+func (p *pipeline) SetWorkers(n int) { *p.workers = n }
+
+// InjectFaults installs a deterministic fault schedule for subsequent
+// runs: dropped frames, dark antennas, NaN bursts, amplitude spikes,
+// stuck front ends (see the fault kinds above). Injection decisions
+// are pure functions of (seed, frame, antenna), so a faulted run is
+// bit-identical at any worker count. The always-on health monitoring
+// quarantines the damage; the solver (single- or k-person) drops to the
+// healthy antenna subset when an antenna goes dark.
+func (p *pipeline) InjectFaults(s FaultSchedule) error { return p.dev.InjectFaults(s) }
+
+// FaultStats returns the injection counters accumulated by the last run.
+func (p *pipeline) FaultStats() FaultStats { return p.dev.FaultStats() }
+
+// RunError reports why the last run ended early (e.g. the watchdog
+// declaring the frame source stalled), or nil for a clean end.
+func (p *pipeline) RunError() error { return p.dev.RunError() }
+
+// SetFrameDeadline arms the source watchdog: if the frame source
+// delivers nothing for the given duration the run ends and RunError
+// reports the stall. Zero (the default) disables the watchdog.
+func (p *pipeline) SetFrameDeadline(deadline time.Duration) { *p.deadline = deadline }
+
+// SetPool gates this device's heavy per-antenna compute on a shared
+// WorkerPool, so many devices in one process (a daemon's sessions)
+// time-slice a bounded slot count instead of oversubscribing the host.
+// nil (the default) runs unpooled. Pooling reschedules work but never
+// changes output bits.
+func (p *pipeline) SetPool(pool *WorkerPool) { *p.pool = pool }
+
 // Device is a WiTrack unit driving the full pipeline.
 type Device struct {
+	pipeline
 	inner *core.Device
 }
 
@@ -177,7 +230,7 @@ func NewDevice(cfg Config) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Device{inner: d}, nil
+	return &Device{pipeline{d, &d.Workers, &d.FrameDeadline, &d.Pool}, d}, nil
 }
 
 // Run tracks the trajectory for its full duration.
@@ -212,55 +265,12 @@ func (d *Device) RecordTo(tw *TraceWriter, traj Trajectory) (int, error) {
 	return d.inner.RecordTo(tw, traj)
 }
 
-// TraceHeader returns the .wtrace header describing this device's
-// deployment, ready to open a TraceWriter with.
-func (d *Device) TraceHeader() TraceHeader { return d.inner.TraceHeader() }
-
-// SetWorkers sets the number of per-antenna pipeline workers: 0 (the
-// default) uses one per receive antenna; 1 degenerates to a serial
-// processing stage (useful for measuring the parallel speedup).
-func (d *Device) SetWorkers(n int) { d.inner.Workers = n }
-
 // Reset clears tracker state for a fresh run.
 func (d *Device) Reset() { d.inner.Reset() }
 
 // SetRecordSpectrograms enables raw spectrogram capture (memory heavy;
 // used for figure generation).
 func (d *Device) SetRecordSpectrograms(on bool) { d.inner.RecordSpectrograms = on }
-
-// InjectFaults installs a deterministic fault schedule for subsequent
-// runs: dropped frames, dark antennas, NaN bursts, amplitude spikes,
-// stuck front ends (see the fault kinds above). Injection decisions
-// are pure functions of (seed, frame, antenna), so a faulted run is
-// bit-identical at any worker count. Installing a schedule also turns
-// on health monitoring.
-func (d *Device) InjectFaults(s FaultSchedule) error { return d.inner.InjectFaults(s) }
-
-// FaultStats returns the injection counters accumulated by the last run.
-func (d *Device) FaultStats() FaultStats { return d.inner.FaultStats() }
-
-// RunError reports why the last run ended early (e.g. the watchdog
-// declaring the frame source stalled), or nil for a clean end.
-func (d *Device) RunError() error { return d.inner.RunError() }
-
-// SetMonitorHealth enables per-antenna health tracking without an
-// injector: damaged frames (NaN/Inf, dead antennas) are quarantined and
-// the solver falls back to the healthy antenna subset, flagging those
-// samples Degraded. A fault-free monitored run is bit-identical to an
-// unmonitored one.
-func (d *Device) SetMonitorHealth(on bool) { d.inner.MonitorHealth = on }
-
-// SetFrameDeadline arms the source watchdog: if the frame source
-// delivers nothing for the given duration the run ends and RunError
-// reports the stall. Zero (the default) disables the watchdog.
-func (d *Device) SetFrameDeadline(deadline time.Duration) { d.inner.FrameDeadline = deadline }
-
-// SetPool gates this device's heavy per-antenna compute on a shared
-// WorkerPool, so many devices in one process (a daemon's sessions)
-// time-slice a bounded slot count instead of oversubscribing the host.
-// nil (the default) runs unpooled. Pooling reschedules work but never
-// changes output bits.
-func (d *Device) SetPool(p *WorkerPool) { d.inner.Pool = p }
 
 // Multi-person tracking: the §10 extension generalized to k concurrent
 // targets. Each receive antenna extracts k time-of-flight candidates
@@ -277,6 +287,7 @@ type (
 
 // MultiDevice is a WiTrack unit tracking k concurrent movers.
 type MultiDevice struct {
+	pipeline
 	inner *core.MultiDevice
 }
 
@@ -288,7 +299,7 @@ func NewMultiDevice(cfg Config, others ...Subject) (*MultiDevice, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &MultiDevice{inner: d}, nil
+	return &MultiDevice{pipeline{d, &d.Workers, &d.FrameDeadline, &d.Pool}, d}, nil
 }
 
 // NumSubjects returns k, the concurrent-target count.
@@ -320,38 +331,8 @@ func (d *MultiDevice) RecordTo(tw *TraceWriter, trajs ...Trajectory) (int, error
 	return d.inner.RecordTo(tw, trajs...)
 }
 
-// TraceHeader returns the .wtrace header describing this device's
-// deployment, ready to open a TraceWriter with.
-func (d *MultiDevice) TraceHeader() TraceHeader { return d.inner.TraceHeader() }
-
-// SetWorkers sets the per-antenna pipeline worker count (see
-// Device.SetWorkers).
-func (d *MultiDevice) SetWorkers(n int) { d.inner.Workers = n }
-
 // Reset clears tracker state for a fresh run.
 func (d *MultiDevice) Reset() { d.inner.Reset() }
-
-// InjectFaults installs a deterministic fault schedule (see
-// Device.InjectFaults); the k-person solver drops to the healthy
-// antenna subset when an antenna goes dark.
-func (d *MultiDevice) InjectFaults(s FaultSchedule) error { return d.inner.InjectFaults(s) }
-
-// FaultStats returns the injection counters accumulated by the last run.
-func (d *MultiDevice) FaultStats() FaultStats { return d.inner.FaultStats() }
-
-// RunError reports why the last run ended early, or nil for a clean end.
-func (d *MultiDevice) RunError() error { return d.inner.RunError() }
-
-// SetMonitorHealth enables per-antenna health tracking without an
-// injector (see Device.SetMonitorHealth).
-func (d *MultiDevice) SetMonitorHealth(on bool) { d.inner.MonitorHealth = on }
-
-// SetFrameDeadline arms the source watchdog (see Device.SetFrameDeadline).
-func (d *MultiDevice) SetFrameDeadline(deadline time.Duration) { d.inner.FrameDeadline = deadline }
-
-// SetPool gates the k-person pipeline on a shared WorkerPool (see
-// Device.SetPool).
-func (d *MultiDevice) SetPool(p *WorkerPool) { d.inner.Pool = p }
 
 // DefaultConfig returns the paper's through-wall deployment: default
 // radio, 1 m T array mounted at 1.5 m, standard room, median subject.
