@@ -100,7 +100,7 @@ type RunResult struct {
 // pipeline over the device's trackers and RNG and must not be called
 // concurrently on one device.
 type Device struct {
-	pipeCore
+	Pipeline
 	trackers []*track.Tracker
 
 	// RecordSpectrograms retains raw magnitude frames (memory heavy;
@@ -147,11 +147,11 @@ const perAntennaWanderTau = 0.12
 
 // NewDevice validates the configuration and builds the device.
 func NewDevice(cfg Config) (*Device, error) {
-	c, err := newPipeCore(cfg)
+	c, err := newPipeline(cfg)
 	if err != nil {
 		return nil, err
 	}
-	d := &Device{pipeCore: c}
+	d := &Device{Pipeline: c}
 	d.sim = newBodySim(cfg.Subject, len(cfg.Array.Rx), d.rng)
 	tc := d.trackerConfig()
 	for range cfg.Array.Rx {
@@ -242,7 +242,7 @@ func (d *Device) stream(ctx context.Context, src FrameSource,
 		return emit(sample, ests, mags)
 	}
 
-	stream(&d.pipeCore, ctx, src, step, fuse)
+	stream(&d.Pipeline, ctx, src, step, fuse)
 	total := locateNS
 	for _, ns := range procNS {
 		total += ns

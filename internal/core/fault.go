@@ -24,7 +24,7 @@ const darkAfter = 8
 // see stream). It validates the schedule against the device's array.
 // Install before a run, not during one; InjectFaults(fault.Schedule{})
 // effectively clears injection.
-func (c *pipeCore) InjectFaults(s fault.Schedule) error {
+func (c *Pipeline) InjectFaults(s fault.Schedule) error {
 	if err := s.Validate(len(c.cfg.Array.Rx)); err != nil {
 		return err
 	}
@@ -34,7 +34,7 @@ func (c *pipeCore) InjectFaults(s fault.Schedule) error {
 
 // FaultStats returns the injector's counters (zero when no injector is
 // installed). Stable once a run's output channel has closed.
-func (c *pipeCore) FaultStats() fault.Stats {
+func (c *Pipeline) FaultStats() fault.Stats {
 	if c.faults == nil {
 		return fault.Stats{}
 	}
@@ -45,7 +45,7 @@ func (c *pipeCore) FaultStats() fault.Stats {
 // frame-deadline watchdog), or nil for a clean end of stream. Valid
 // once the run's output channel has closed; reset at the start of the
 // next run.
-func (c *pipeCore) RunError() error { return c.runErr }
+func (c *Pipeline) RunError() error { return c.runErr }
 
 // faultSource filters a FrameSource through the injector's whole-frame
 // drop decisions. Dropping happens after the source produced the batch

@@ -20,7 +20,7 @@ import (
 // core as Device; only the tracker stage differs: a k-target tracker
 // per antenna and the joint assignment search as the fusion step.
 type MultiDevice struct {
-	pipeCore
+	Pipeline
 	subjects []body.Subject
 	trackers []*track.MultiTracker
 	sims     []*bodySim
@@ -52,12 +52,12 @@ type MultiRunResult struct {
 // subjects the device degenerates to a single-target tracker on the
 // multi-target pipeline.
 func NewMultiDevice(cfg Config, others ...body.Subject) (*MultiDevice, error) {
-	c, err := newPipeCore(cfg)
+	c, err := newPipeline(cfg)
 	if err != nil {
 		return nil, err
 	}
 	d := &MultiDevice{
-		pipeCore: c,
+		Pipeline: c,
 		subjects: append([]body.Subject{cfg.Subject}, others...),
 	}
 	nRx := len(cfg.Array.Rx)
@@ -165,7 +165,7 @@ func (d *MultiDevice) stream(ctx context.Context, src FrameSource, emit func(s M
 		return emit(sample)
 	}
 
-	stream(&d.pipeCore, ctx, src, step, fuse)
+	stream(&d.Pipeline, ctx, src, step, fuse)
 }
 
 // trajSource is the simulator source for one trajectory per subject,

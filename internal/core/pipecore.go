@@ -16,13 +16,15 @@ import (
 	"witrack/internal/track"
 )
 
-// pipeCore is the pipeline both device types are built on: the radio
+// Pipeline is the pipeline both device types are built on: the radio
 // and propagation models, the locator, the simulation RNG and frame
 // ring, the robustness state, and the settable pipeline knobs, plus
 // the one record loop and the one health-monitored stream. Device and
 // MultiDevice embed it and supply only their tracker stage — a
-// per-antenna Push/Coast step and a per-frame fusion.
-type pipeCore struct {
+// per-antenna Push/Coast step and a per-frame fusion. It is exported so
+// callers can reach either device's knobs and reports through one
+// pointer (&dev.Pipeline); it is only usable embedded in a device.
+type Pipeline struct {
 	cfg     Config
 	synth   *fmcw.Synthesizer
 	prop    *rf.Propagator
@@ -67,26 +69,26 @@ type pipeCore struct {
 	runErr error
 }
 
-// newPipeCore validates the configuration and builds the shared
+// newPipeline validates the configuration and builds the shared
 // pipeline state.
-func newPipeCore(cfg Config) (pipeCore, error) {
+func newPipeline(cfg Config) (Pipeline, error) {
 	if err := cfg.Radio.Validate(); err != nil {
-		return pipeCore{}, fmt.Errorf("core: %w", err)
+		return Pipeline{}, fmt.Errorf("core: %w", err)
 	}
 	if err := cfg.Array.Validate(); err != nil {
-		return pipeCore{}, fmt.Errorf("core: %w", err)
+		return Pipeline{}, fmt.Errorf("core: %w", err)
 	}
 	if cfg.Scene == nil {
-		return pipeCore{}, fmt.Errorf("core: nil scene")
+		return Pipeline{}, fmt.Errorf("core: nil scene")
 	}
 	if cfg.Radio.ADCBits > 0 && !cfg.SlowSynth {
-		return pipeCore{}, fmt.Errorf("core: ADCBits=%d requires SlowSynth (the fast path synthesizes spectra directly and never digitizes time-domain samples)", cfg.Radio.ADCBits)
+		return Pipeline{}, fmt.Errorf("core: ADCBits=%d requires SlowSynth (the fast path synthesizes spectra directly and never digitizes time-domain samples)", cfg.Radio.ADCBits)
 	}
 	loc, err := locate.New(cfg.Array)
 	if err != nil {
-		return pipeCore{}, fmt.Errorf("core: %w", err)
+		return Pipeline{}, fmt.Errorf("core: %w", err)
 	}
-	return pipeCore{
+	return Pipeline{
 		cfg:     cfg,
 		synth:   fmcw.NewSynthesizer(cfg.Radio),
 		prop:    rf.NewPropagator(cfg.Scene, cfg.Array, cfg.Radio),
@@ -98,7 +100,7 @@ func newPipeCore(cfg Config) (pipeCore, error) {
 
 // trackerConfig returns the per-antenna tracker configuration: the
 // defaults for the radio, then the config's TrackerOverride.
-func (c *pipeCore) trackerConfig() track.Config {
+func (c *Pipeline) trackerConfig() track.Config {
 	tc := track.DefaultConfig(c.cfg.Radio.BinDistance(), c.cfg.Radio.FrameInterval(), c.synth.NoiseBinSigma())
 	if c.cfg.TrackerOverride != nil {
 		c.cfg.TrackerOverride(&tc)
@@ -107,7 +109,7 @@ func (c *pipeCore) trackerConfig() track.Config {
 }
 
 // Config returns the device configuration.
-func (c *pipeCore) Config() Config { return c.cfg }
+func (c *Pipeline) Config() Config { return c.cfg }
 
 // TraceHeader returns the .wtrace header describing this device's
 // deployment: the sweep parameters, antenna geometry, seed, and frame
@@ -115,7 +117,7 @@ func (c *pipeCore) Config() Config { return c.cfg }
 // A k-person capture has the same header; the subject count is carried
 // by the per-frame truth records (and, for scenario captures, the
 // embedded spec provenance).
-func (c *pipeCore) TraceHeader() trace.Header {
+func (c *Pipeline) TraceHeader() trace.Header {
 	return trace.Header{
 		Seed:     c.cfg.Seed,
 		Interval: c.cfg.Radio.FrameInterval(),
@@ -153,7 +155,7 @@ type antennaScratch struct {
 
 // newScratch returns one run's per-antenna scratch, set up for the
 // device's sweep precision and cross-session batching.
-func (c *pipeCore) newScratch() []antennaScratch {
+func (c *Pipeline) newScratch() []antennaScratch {
 	scratch := make([]antennaScratch, len(c.cfg.Array.Rx))
 	for k := range scratch {
 		scratch[k].prec = c.cfg.Precision
@@ -210,14 +212,14 @@ func (w *antennaScratch) sweepScratch(synth *fmcw.Synthesizer) *fmcw.SweepScratc
 
 // simSource wraps the device's simulator as the pipeline's stage-1
 // source for the given bodies and trajectories (in subject order).
-func (c *pipeCore) simSource(sims []*bodySim, trajs []motion.Trajectory) *simSource {
+func (c *Pipeline) simSource(sims []*bodySim, trajs []motion.Trajectory) *simSource {
 	return newSimSource(c.synth, c.prop, c.rng, sims, trajs,
 		c.cfg.Array.Tx, len(c.cfg.Array.Rx), c.cfg.Radio.FrameInterval(), c.cfg.SlowSynth, c.ring)
 }
 
 // checkSource rejects a frame source whose antenna count does not
 // match the device's array.
-func (c *pipeCore) checkSource(src FrameSource) error {
+func (c *Pipeline) checkSource(src FrameSource) error {
 	if got, want := src.NumRx(), len(c.cfg.Array.Rx); got != want {
 		return fmt.Errorf("core: source has %d antennas, device array has %d", got, want)
 	}
@@ -247,7 +249,7 @@ func forEachBatch(src FrameSource, fn func(b *FrameBatch) error) (int, error) {
 // through StreamFrom on a fresh identically-configured device is
 // bit-identical to running the trajectories directly. The slices are
 // reused between calls; sink must consume them before returning.
-func (c *pipeCore) record(src FrameSource,
+func (c *Pipeline) record(src FrameSource,
 	sink func(frames []dsp.ComplexFrame, truths []motion.BodyState) error) (int, error) {
 	scratch := c.newScratch()
 	frames := make([]dsp.ComplexFrame, len(scratch))
@@ -262,7 +264,7 @@ func (c *pipeCore) record(src FrameSource,
 // recordTo is record streaming into tw: every per-antenna complex frame
 // plus its ground truth, one frame in memory at a time. It returns the
 // number of frames written.
-func (c *pipeCore) recordTo(tw *trace.Writer, src FrameSource) (int, error) {
+func (c *Pipeline) recordTo(tw *trace.Writer, src FrameSource) (int, error) {
 	return c.record(src, func(frames []dsp.ComplexFrame, truths []motion.BodyState) error {
 		return tw.WriteFrameTruths(frames, truths)
 	})
@@ -278,7 +280,7 @@ func (c *pipeCore) recordTo(tw *trace.Writer, src FrameSource) (int, error) {
 // order with every antenna's step output and the solve mask:
 // solvable[k] is false while antenna k is dark (excluded from the
 // solve). fuse must not retain the slices; returning false ends the run.
-func stream[E any](c *pipeCore, ctx context.Context, src FrameSource,
+func stream[E any](c *Pipeline, ctx context.Context, src FrameSource,
 	step func(k int, frame dsp.ComplexFrame, healthy bool) E,
 	fuse func(b *FrameBatch, outs []E, solvable []bool) bool) {
 	type antResult struct {

@@ -16,11 +16,11 @@ import (
 // record layout (see trace.DomainSweeps), so a replay runs the full
 // window + RFFT + averaging path per frame instead of consuming
 // pre-transformed bins.
-func (d *Device) SweepTraceHeader() trace.Header {
-	h := d.TraceHeader()
+func (c *Pipeline) SweepTraceHeader() trace.Header {
+	h := c.TraceHeader()
 	h.Domain = trace.DomainSweeps
-	h.SweepsPerFrame = d.cfg.Radio.SweepsPerFrame
-	h.SamplesPerSweep = d.cfg.Radio.SamplesPerSweep()
+	h.SweepsPerFrame = c.cfg.Radio.SweepsPerFrame
+	h.SamplesPerSweep = c.cfg.Radio.SamplesPerSweep()
 	h.Bins = h.SweepsPerFrame * h.SamplesPerSweep / 2
 	return h
 }
@@ -31,13 +31,13 @@ func (d *Device) SweepTraceHeader() trace.Header {
 // the deployment's quantizer — the ADC resolution and the dequantization
 // scale derived from the loudest antenna's static environment, exactly
 // the scale the live pipeline quantizes with.
-func (d *Device) SweepTraceHeaderInt16() trace.Header {
-	h := d.SweepTraceHeader()
+func (c *Pipeline) SweepTraceHeaderInt16() trace.Header {
+	h := c.SweepTraceHeader()
 	h.Bins = 0
 	h.Sample = trace.SampleInt16
-	h.ADCBits = d.cfg.Radio.ADCBits
-	h.ADCScale = fmcw.NewQuantizer(d.cfg.Radio.ADCBits,
-		adcFullScale(d.prop, len(d.cfg.Array.Rx), d.cfg.Radio.NoiseFloorWatts)).Scale()
+	h.ADCBits = c.cfg.Radio.ADCBits
+	h.ADCScale = fmcw.NewQuantizer(c.cfg.Radio.ADCBits,
+		adcFullScale(c.prop, len(c.cfg.Array.Rx), c.cfg.Radio.NoiseFloorWatts)).Scale()
 	return h
 }
 

@@ -8,7 +8,6 @@ package dsp
 import (
 	"math"
 	"math/bits"
-	"math/cmplx"
 )
 
 // FFT computes the in-place decimation-in-time radix-2 fast Fourier
@@ -76,29 +75,5 @@ func NextPow2(n int) int {
 func ZeroPad(x []complex128, n int) []complex128 {
 	out := make([]complex128, n)
 	copy(out, x)
-	return out
-}
-
-// RealFFTMag computes the magnitude spectrum of a real-valued signal:
-// the signal is windowed, zero-padded to the next power of two,
-// transformed with the real-input FFT (half the work of a complex
-// transform), and the magnitudes of the first nBins non-negative-
-// frequency bins are returned. This is exactly the per-sweep processing
-// step of the paper's §4.1 (the FFT "is typically taken over a duration
-// of one sweep").
-//
-// If window is nil a rectangular window is used. nBins may not exceed
-// half the padded length + 1.
-func RealFFTMag(signal []float64, window []float64, nBins int) []float64 {
-	n := NextPow2(len(signal))
-	p := PlanFor(n)
-	buf := p.RealTransform(make([]complex128, n/2+1), signal, window)
-	if max := n/2 + 1; nBins > max {
-		nBins = max
-	}
-	out := make([]float64, nBins)
-	for i := 0; i < nBins; i++ {
-		out[i] = cmplx.Abs(buf[i])
-	}
 	return out
 }

@@ -166,47 +166,58 @@ func TestZeroPad(t *testing.T) {
 	}
 }
 
-func TestRealFFTMagTone(t *testing.T) {
-	// Real cosine at exactly bin 20 of a 512-point frame.
-	n := 512
-	k := 20
-	sig := make([]float64, n)
-	for i := range sig {
-		sig[i] = math.Cos(2 * math.Pi * float64(k) * float64(i) / float64(n))
+// TestRealTransformMagnitude pins the paper's §4.1 per-sweep step on
+// the plan's allocation-free real transform: a windowed real tone's
+// magnitude spectrum peaks at its bin with the expected amplitude, and
+// an off-bin tone leaks far less through a Hann window than through a
+// rectangular one. leak is the magnitude 30 bins past the tone,
+// relative to the tone's bin.
+func TestRealTransformMagnitude(t *testing.T) {
+	const n = 512
+	tests := []struct {
+		name    string
+		freq    float64 // tone frequency in bins
+		window  []float64
+		peakMag float64 // expected magnitude at bin 20 (0: not checked)
+		leakMin float64
+		leakMax float64
+	}{
+		// A real cosine of amplitude 1 exactly on bin 20 has magnitude
+		// n/2 there and no leakage at all.
+		{"on-bin-rectangular", 20, nil, n / 2, 0, 1e-9},
+		// Halfway between bins is worst-case leakage.
+		{"off-bin-rectangular", 20.5, nil, 0, 5e-3, 1},
+		{"off-bin-hann", 20.5, Hann(n), 0, 0, 1e-3},
 	}
-	mag := RealFFTMag(sig, nil, n/2)
-	best := 0
-	for i := range mag {
-		if mag[i] > mag[best] {
-			best = i
-		}
-	}
-	if best != k {
-		t.Fatalf("peak at bin %d, want %d", best, k)
-	}
-	// A real cosine of amplitude 1 has magnitude n/2 at its bin.
-	if math.Abs(mag[k]-float64(n)/2) > 1e-6 {
-		t.Fatalf("peak magnitude %v, want %v", mag[k], float64(n)/2)
-	}
-}
-
-func TestRealFFTMagWindowReducesLeakage(t *testing.T) {
-	// An off-bin tone leaks badly with a rectangular window; Hann should
-	// concentrate energy better at distant bins.
-	n := 512
-	freq := 20.5 // halfway between bins: worst-case leakage
-	sig := make([]float64, n)
-	for i := range sig {
-		sig[i] = math.Cos(2 * math.Pi * freq * float64(i) / float64(n))
-	}
-	rect := RealFFTMag(sig, nil, n/2)
-	hann := RealFFTMag(sig, Hann(n), n/2)
-	// Compare leakage 30 bins away from the tone, normalized by the peak.
-	farBin := 50
-	rectLeak := rect[farBin] / rect[20]
-	hannLeak := hann[farBin] / hann[20]
-	if hannLeak >= rectLeak {
-		t.Fatalf("Hann leakage %v should be below rectangular %v", hannLeak, rectLeak)
+	p := PlanFor(n)
+	spec := make([]complex128, n/2+1)
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			sig := make([]float64, n)
+			for i := range sig {
+				sig[i] = math.Cos(2 * math.Pi * tt.freq * float64(i) / float64(n))
+			}
+			spec = p.RealTransform(spec, sig, tt.window)
+			mag := make([]float64, n/2)
+			best := 0
+			for i := range mag {
+				mag[i] = cmplx.Abs(spec[i])
+				if mag[i] > mag[best] {
+					best = i
+				}
+			}
+			if tt.peakMag > 0 {
+				if best != 20 {
+					t.Fatalf("peak at bin %d, want 20", best)
+				}
+				if math.Abs(mag[20]-tt.peakMag) > 1e-6 {
+					t.Fatalf("peak magnitude %v, want %v", mag[20], tt.peakMag)
+				}
+			}
+			if leak := mag[50] / mag[20]; leak < tt.leakMin || leak > tt.leakMax {
+				t.Fatalf("leakage %v outside [%v, %v]", leak, tt.leakMin, tt.leakMax)
+			}
+		})
 	}
 }
 

@@ -106,25 +106,42 @@ func shortConfig() Config {
 	return cfg
 }
 
+// slowFrame synthesizes one averaged magnitude frame through the full
+// time-domain path on a fresh sweep scratch.
+func slowFrame(s *Synthesizer, paths []Path, rng *rand.Rand) dsp.Frame {
+	return s.SynthesizeComplexFrameSlowInto(nil, paths, rng, s.NewSweepScratch()).Mag()
+}
+
 func TestSweepSpectrumPeakAtExpectedBin(t *testing.T) {
 	cfg := shortConfig()
 	s := NewSynthesizer(cfg)
-	rng := rand.New(rand.NewSource(1))
-	d := 8.0 // meters round trip
-	paths := []Path{{RoundTrip: d, PowerWatts: 1e-12, Phase: PhaseFor(cfg, d)}}
-	frame := s.SynthesizeFrameSlow(paths, rng)
-	peak, ok := dsp.StrongestPeak(frame)
-	if !ok {
-		t.Fatal("no peak found")
+	tests := []struct {
+		name string
+		d    float64 // meters round trip
+	}{
+		{"near", 4},
+		{"mid", 8},
+		{"far", 16},
 	}
-	wantBin := cfg.BeatFreq(d) / cfg.BinHz()
-	if math.Abs(float64(peak.Bin)-wantBin) > 1.5 {
-		t.Fatalf("peak at bin %d, want ~%.1f", peak.Bin, wantBin)
-	}
-	// Sub-bin refinement should land within a third of a bin.
-	refined := dsp.RefineParabolic(frame, peak.Bin)
-	if math.Abs(refined-wantBin) > 0.5 {
-		t.Fatalf("refined bin %.2f, want ~%.2f", refined, wantBin)
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(1))
+			paths := []Path{{RoundTrip: tt.d, PowerWatts: 1e-12, Phase: PhaseFor(cfg, tt.d)}}
+			frame := slowFrame(s, paths, rng)
+			peak, ok := dsp.StrongestPeak(frame)
+			if !ok {
+				t.Fatal("no peak found")
+			}
+			wantBin := cfg.BeatFreq(tt.d) / cfg.BinHz()
+			if math.Abs(float64(peak.Bin)-wantBin) > 1.5 {
+				t.Fatalf("peak at bin %d, want ~%.1f", peak.Bin, wantBin)
+			}
+			// Sub-bin refinement should land within half a bin.
+			refined := dsp.RefineParabolic(frame, peak.Bin)
+			if math.Abs(refined-wantBin) > 0.5 {
+				t.Fatalf("refined bin %.2f, want ~%.2f", refined, wantBin)
+			}
+		})
 	}
 }
 
@@ -137,7 +154,7 @@ func TestTwoReflectorsResolved(t *testing.T) {
 		{RoundTrip: d1, PowerWatts: 1e-12, Phase: PhaseFor(cfg, d1)},
 		{RoundTrip: d2, PowerWatts: 1e-12, Phase: PhaseFor(cfg, d2)},
 	}
-	frame := s.SynthesizeFrameSlow(paths, rng)
+	frame := slowFrame(s, paths, rng)
 	thresh := 8 * s.NoiseBinSigma()
 	peaks := dsp.LocalMaxima(frame, thresh)
 	if len(peaks) < 2 {
@@ -179,7 +196,7 @@ func TestFastMatchesSlowSpectrum(t *testing.T) {
 				Phase:      PhaseFor(cfg, d),
 			}
 		}
-		slow := s.SynthesizeFrameSlow(paths, rng)
+		slow := slowFrame(s, paths, rng)
 		fast := s.SynthesizeFrame(paths, rng)
 		// Compare where the signal is meaningful; the fast path truncates
 		// the kernel at 60 dB down, so use a relative tolerance against
@@ -334,10 +351,12 @@ func BenchmarkSynthesizeFrameSlow(b *testing.B) {
 		d := 4 + float64(i)
 		paths[i] = Path{RoundTrip: d, PowerWatts: 1e-13, Phase: PhaseFor(cfg, d)}
 	}
+	ws := s.NewSweepScratch()
+	var dst dsp.ComplexFrame
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.SynthesizeFrameSlow(paths, rng)
+		dst = s.SynthesizeComplexFrameSlowInto(dst, paths, rng, ws)
 	}
 }
 
@@ -440,54 +459,68 @@ func TestSweepOscillatorMatchesTrig(t *testing.T) {
 func TestSweepsIntoMatchesLegacyComplexFFT(t *testing.T) {
 	cfg := shortConfig()
 	s := NewSynthesizer(cfg)
-	rng := rand.New(rand.NewSource(21))
-	paths := []Path{
-		{RoundTrip: 9.1, PowerWatts: 1e-12, Phase: PhaseFor(cfg, 9.1)},
-		{RoundTrip: 15.6, PowerWatts: 5e-13, Phase: PhaseFor(cfg, 15.6)},
+	tests := []struct {
+		name  string
+		paths []Path
+	}{
+		{"one-reflector", []Path{
+			{RoundTrip: 6.3, PowerWatts: 1e-12, Phase: PhaseFor(cfg, 6.3)},
+		}},
+		{"two-reflectors", []Path{
+			{RoundTrip: 9.1, PowerWatts: 1e-12, Phase: PhaseFor(cfg, 9.1)},
+			{RoundTrip: 15.6, PowerWatts: 5e-13, Phase: PhaseFor(cfg, 15.6)},
+		}},
+		{"noise-only", nil},
 	}
-	sweeps := make([][]float64, cfg.SweepsPerFrame)
-	for i := range sweeps {
-		sweeps[i] = s.SynthesizeSweep(paths, rng)
-	}
+	ws := s.NewSweepScratch()
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(21))
+			sweeps := make([][]float64, cfg.SweepsPerFrame)
+			for i := range sweeps {
+				sweeps[i] = s.SynthesizeSweep(tt.paths, rng)
+			}
 
-	// Legacy reference: window + complex FFT + truncate + average.
-	n := cfg.FFTSize()
-	nb := cfg.RangeBins()
-	want := make(dsp.ComplexFrame, nb)
-	w := dsp.Hann(cfg.SamplesPerSweep())
-	for _, sw := range sweeps {
-		buf := make([]complex128, n)
-		for i, v := range sw {
-			buf[i] = complex(v*w[i], 0)
-		}
-		dsp.FFT(buf)
-		for i := 0; i < nb; i++ {
-			want[i] += buf[i]
-		}
-	}
-	inv := complex(1/float64(len(sweeps)), 0)
-	for i := range want {
-		want[i] *= inv
-	}
+			// Legacy reference: window + complex FFT + truncate + average.
+			n := cfg.FFTSize()
+			nb := cfg.RangeBins()
+			want := make(dsp.ComplexFrame, nb)
+			w := dsp.Hann(cfg.SamplesPerSweep())
+			for _, sw := range sweeps {
+				buf := make([]complex128, n)
+				for i, v := range sw {
+					buf[i] = complex(v*w[i], 0)
+				}
+				dsp.FFT(buf)
+				for i := 0; i < nb; i++ {
+					want[i] += buf[i]
+				}
+			}
+			inv := complex(1/float64(len(sweeps)), 0)
+			for i := range want {
+				want[i] *= inv
+			}
 
-	got := s.FrameFromSweeps(sweeps)
-	scale := 0.0
-	for _, v := range want {
-		if m := real(v)*real(v) + imag(v)*imag(v); m > scale {
-			scale = m
-		}
-	}
-	tol := 1e-11 * math.Sqrt(scale)
-	gotC := s.ComplexFrameFromSweeps(sweeps)
-	for i := range want {
-		re := math.Abs(real(gotC[i]) - real(want[i]))
-		im := math.Abs(imag(gotC[i]) - imag(want[i]))
-		if re > tol || im > tol {
-			t.Fatalf("bin %d: rfft path %v vs complex-fft path %v", i, gotC[i], want[i])
-		}
-		if math.Abs(got[i]-cmplxAbs(want[i])) > tol {
-			t.Fatalf("bin %d magnitude: %v vs %v", i, got[i], cmplxAbs(want[i]))
-		}
+			scale := 0.0
+			for _, v := range want {
+				if m := real(v)*real(v) + imag(v)*imag(v); m > scale {
+					scale = m
+				}
+			}
+			tol := 1e-11 * math.Sqrt(scale)
+			gotC := s.ComplexFrameFromSweepsInto(nil, sweeps, ws)
+			got := gotC.Mag()
+			for i := range want {
+				re := math.Abs(real(gotC[i]) - real(want[i]))
+				im := math.Abs(imag(gotC[i]) - imag(want[i]))
+				if re > tol || im > tol {
+					t.Fatalf("bin %d: rfft path %v vs complex-fft path %v", i, gotC[i], want[i])
+				}
+				if math.Abs(got[i]-cmplxAbs(want[i])) > tol {
+					t.Fatalf("bin %d magnitude: %v vs %v", i, got[i], cmplxAbs(want[i]))
+				}
+			}
+		})
 	}
 }
 

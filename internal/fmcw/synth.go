@@ -11,9 +11,9 @@ import (
 // Synthesizer turns lists of propagation paths into the FFT frames the
 // tracking pipeline consumes. It supports two equivalent levels:
 //
-//   - SynthesizeSweep/FrameFromSweeps: generate the time-domain baseband
-//     signal sample by sample, window it, FFT it — the exact processing
-//     of the paper's §7 implementation.
+//   - SynthesizeSweep/ComplexFrameFromSweepsInto: generate the
+//     time-domain baseband signal sample by sample, window it, FFT it —
+//     the exact processing of the paper's §7 implementation.
 //   - SynthesizeFrame: generate the windowed FFT frame directly in the
 //     frequency domain using the window's spectral kernel. This is
 //     hundreds of times faster and statistically identical (the signal
@@ -236,17 +236,12 @@ func (s *Synthesizer) SynthesizeSweepInto(dst []float64, paths []Path, rng *rand
 	return dst
 }
 
-// ComplexFrameFromSweeps runs the paper's exact per-frame processing on
-// time-domain sweeps: window + FFT each sweep, coherently average the
-// complex spectra, truncated to the range bins of interest.
-func (s *Synthesizer) ComplexFrameFromSweeps(sweeps [][]float64) dsp.ComplexFrame {
-	return s.ComplexFrameFromSweepsInto(nil, sweeps, s.NewSweepScratch())
-}
-
-// ComplexFrameFromSweepsInto is ComplexFrameFromSweeps against
-// caller-owned buffers: the averaged frame lands in dst (reallocated
-// only when the length is wrong) and all intermediate work runs in ws,
-// so a streaming caller allocates nothing. The frame's sweeps are
+// ComplexFrameFromSweepsInto runs the paper's exact per-frame
+// processing on time-domain sweeps: window + FFT each sweep, coherently
+// average the complex spectra, truncated to the range bins of interest.
+// The averaged frame lands in dst (reallocated only when the length is
+// wrong) and all intermediate work runs in ws, so a streaming caller
+// allocates nothing. The frame's sweeps are
 // windowed and transformed in one RFFTBatch call — all sweeps share a
 // single pass over each stage's twiddle table, and each sweep's bins are
 // bit-identical to a sequential RealTransform (the accumulation order is
@@ -347,11 +342,6 @@ func (s *Synthesizer) ComplexFrameFromSweepsInt16Into(dst dsp.ComplexFrame, swee
 	return dst
 }
 
-// FrameFromSweeps is ComplexFrameFromSweeps followed by magnitude.
-func (s *Synthesizer) FrameFromSweeps(sweeps [][]float64) dsp.Frame {
-	return s.ComplexFrameFromSweeps(sweeps).Mag()
-}
-
 // SynthesizeComplexFrameSlow generates one averaged complex frame
 // through the full time-domain path (SweepsPerFrame sweeps of fresh
 // noise).
@@ -372,12 +362,6 @@ func (s *Synthesizer) SynthesizeComplexFrameSlowInto(dst dsp.ComplexFrame, paths
 		ws.sweeps[i] = s.SynthesizeSweepInto(ws.sweeps[i], paths, rng)
 	}
 	return s.ComplexFrameFromSweepsInto(dst, ws.sweeps, ws)
-}
-
-// SynthesizeFrameSlow is SynthesizeComplexFrameSlow followed by
-// magnitude.
-func (s *Synthesizer) SynthesizeFrameSlow(paths []Path, rng *rand.Rand) dsp.Frame {
-	return s.SynthesizeComplexFrameSlow(paths, rng).Mag()
 }
 
 // kernelAt evaluates the window kernel at fractional-bin offset delta by

@@ -20,6 +20,12 @@ type Array struct {
 	BeamHalfAngle float64
 }
 
+// MaxRx bounds the receive-antenna count. Real deployments run 3-4
+// antennas; the bound exists so per-antenna health masks fit one uint64
+// and so a count read from untrusted input (a trace header) cannot
+// force a huge allocation.
+const MaxRx = 64
+
 // DefaultBeamHalfAngle approximates the WA5VJB directional antennas used
 // by the prototype (roughly 60 degrees half-power beamwidth each side).
 const DefaultBeamHalfAngle = math.Pi / 3
@@ -43,6 +49,9 @@ func NewTArray(separation, height float64) Array {
 func (a Array) Validate() error {
 	if len(a.Rx) < 3 {
 		return fmt.Errorf("geom: need at least 3 receive antennas, have %d", len(a.Rx))
+	}
+	if len(a.Rx) > MaxRx {
+		return fmt.Errorf("geom: at most %d receive antennas, have %d", MaxRx, len(a.Rx))
 	}
 	if a.BeamHalfAngle <= 0 || a.BeamHalfAngle > math.Pi {
 		return errors.New("geom: beam half-angle out of range")

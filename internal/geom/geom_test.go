@@ -99,25 +99,41 @@ func TestNewTArrayLayout(t *testing.T) {
 }
 
 func TestValidateRejectsBadArrays(t *testing.T) {
-	a := NewTArray(1, 1.5)
-	a.Rx = a.Rx[:2]
-	if a.Validate() == nil {
-		t.Fatal("2 antennas should be rejected")
+	// A plane grid of MaxRx+1 receive antennas: valid in every respect
+	// but the count.
+	crowded := NewTArray(1, 1.5)
+	crowded.Rx = nil
+	for i := 0; i <= MaxRx; i++ {
+		crowded.Rx = append(crowded.Rx, Vec3{X: float64(i%8) - 3.5, Z: 1.5 - float64(i/8)*0.1})
 	}
-
-	b := NewTArray(1, 1.5)
-	b.Rx[2] = Vec3{0, 0.5, 1.5} // out of the antenna plane
-	if b.Validate() == nil {
-		t.Fatal("out-of-plane antenna should be rejected")
+	tests := []struct {
+		name   string
+		mutate func(a *Array)
+	}{
+		{"two antennas", func(a *Array) { a.Rx = a.Rx[:2] }},
+		{"out of plane", func(a *Array) { a.Rx[2] = Vec3{0, 0.5, 1.5} }},
+		{"collinear", func(a *Array) {
+			*a = Array{
+				Tx:            Vec3{0, 0, 1.5},
+				Rx:            []Vec3{{-1, 0, 1.5}, {1, 0, 1.5}, {2, 0, 1.5}},
+				BeamHalfAngle: DefaultBeamHalfAngle,
+			}
+		}},
+		{"over MaxRx antennas", func(a *Array) { *a = crowded }},
 	}
-
-	c := Array{
-		Tx:            Vec3{0, 0, 1.5},
-		Rx:            []Vec3{{-1, 0, 1.5}, {1, 0, 1.5}, {2, 0, 1.5}},
-		BeamHalfAngle: DefaultBeamHalfAngle,
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			a := NewTArray(1, 1.5)
+			tt.mutate(&a)
+			if a.Validate() == nil {
+				t.Fatal("array should be rejected")
+			}
+		})
 	}
-	if c.Validate() == nil {
-		t.Fatal("collinear antennas should be rejected")
+	// The crowded grid minus one antenna is at the limit and valid.
+	crowded.Rx = crowded.Rx[:MaxRx]
+	if err := crowded.Validate(); err != nil {
+		t.Fatalf("%d-antenna array rejected: %v", MaxRx, err)
 	}
 }
 

@@ -104,10 +104,6 @@ func (l *Locator) Solve(ests []track.Estimate) (geom.Vec3, error) {
 // (geom.Solver's floor), so a degraded array below that cannot locate.
 var ErrTooFewHealthy = errors.New("locate: too few healthy antennas for a 3D fix")
 
-// maskedAntennaLimit bounds the Sub bitmask width. Real deployments run
-// 3-4 antennas; the limit exists only so the mask arithmetic is safe.
-const maskedAntennaLimit = 64
-
 // Sub returns a locator over the subset of receive antennas whose mask
 // bit is set, sharing the parent's plausibility bounds and cached per
 // mask (the same degradation pattern recurs every frame of an outage,
@@ -144,7 +140,7 @@ func (l *Locator) Sub(mask uint64) (*Locator, error) {
 // reports how many antennas the fix used, so callers can flag the
 // sample as degraded.
 func (l *Locator) SolveMasked(ests []track.Estimate, healthy []bool) (geom.Vec3, int, error) {
-	if len(healthy) != len(ests) || len(ests) > maskedAntennaLimit {
+	if len(healthy) != len(ests) || len(ests) > geom.MaxRx {
 		return geom.Vec3{}, 0, errors.New("locate: SolveMasked needs one health flag per antenna (at most 64)")
 	}
 	n := 0

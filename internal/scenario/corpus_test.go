@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"math"
@@ -8,6 +9,9 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"witrack/internal/core"
+	"witrack/internal/trace"
 )
 
 // TestGoldenCorpusReplay is the replay-backed regression suite: it
@@ -107,4 +111,132 @@ func TestGoldenCorpusReplay(t *testing.T) {
 	if total > corpusBudget {
 		t.Fatalf("corpus weighs %d bytes, over the ~2 MB budget — trim durations or MaxRange", total)
 	}
+}
+
+// TestReplayObserveContract pins ReplayOptions.Observe on golden corpus
+// traces (single-person bins, two-person bins, int16 sweeps): it fires
+// once per replayed frame in frame order, each call carries exactly the
+// fused sample's time, flags and position — subject 0's on the
+// two-person cell — and its Valid/Degraded tallies equal the scorer's.
+// The reference is the same trace streamed sample by sample through
+// the cell's own device and scored by the cell scorer.
+func TestReplayObserveContract(t *testing.T) {
+	for _, name := range []string{"corpus-walk", "corpus-duo", "corpus-int16"} {
+		t.Run(name, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("testdata", "corpus", name+"-d0.wtrace"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fixes []ReplayFix
+			res, err := ReplayTraceOpts(context.Background(), bytes.NewReader(data), ReplayOptions{
+				Observe: func(f ReplayFix) { fixes = append(fixes, f) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(fixes) != res.Frames {
+				t.Fatalf("Observe fired %d times for %d replayed frames", len(fixes), res.Frames)
+			}
+			valid, degraded := 0, 0
+			for i, f := range fixes {
+				if i > 0 && !(f.T > fixes[i-1].T) {
+					t.Fatalf("fix %d at T=%g does not follow T=%g", i, f.T, fixes[i-1].T)
+				}
+				if f.Valid {
+					valid++
+				}
+				if f.Degraded {
+					degraded++
+				}
+			}
+
+			want, ref, distinct := observeReference(t, data)
+			if len(want) != len(fixes) {
+				t.Fatalf("reference stream has %d samples, Observe saw %d", len(want), len(fixes))
+			}
+			for i := range want {
+				if fixes[i] != want[i] {
+					t.Fatalf("fix %d = %+v, fused sample gives %+v", i, fixes[i], want[i])
+				}
+			}
+			if name == "corpus-duo" && !distinct {
+				t.Fatal("no valid duo frame separates subject 0 from subject 1")
+			}
+			if !metricsBitEqual(ref.res.Metrics, res.Metrics) {
+				t.Fatalf("reference scoring diverged from the replay:\n  ref    %v\n  replay %v", ref.res.Metrics, res.Metrics)
+			}
+			if valid != ref.valid || degraded != ref.degraded {
+				t.Fatalf("Observe counted %d valid / %d degraded, scorer %d / %d", valid, degraded, ref.valid, ref.degraded)
+			}
+		})
+	}
+}
+
+// observeReference streams a corpus trace through its cell's device
+// directly and returns the fix each fused sample should produce, the
+// scorer's tallies over the same samples, and whether some valid
+// k-person frame put subject 0 and subject 1 at different positions.
+func observeReference(t *testing.T, data []byte) ([]ReplayFix, *cellOutcome, bool) {
+	t.Helper()
+	tr, err := trace.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sp Spec
+	if err := json.Unmarshal(tr.Header().Scenario, &sp); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compile(&sp, tr.Header().DeviceIndex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := newCellDevice(c, ReplayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	out := &cellOutcome{}
+	var fixes []ReplayFix
+	distinct := false
+	if dev.multi != nil {
+		ch, err := dev.multi.StreamFrom(ctx, core.NewTraceSource(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var samples []core.MultiSample
+		for s := range ch {
+			samples = append(samples, s)
+			fix := ReplayFix{T: s.T, Valid: s.Valid, Degraded: s.Degraded}
+			if len(s.Pos) > 0 {
+				fix.Pos = s.Pos[0]
+			}
+			if s.Valid && len(s.Pos) > 1 && s.Pos[0] != s.Pos[1] {
+				distinct = true
+			}
+			fixes = append(fixes, fix)
+		}
+		replay := make(chan core.MultiSample, len(samples))
+		for _, s := range samples {
+			replay <- s
+		}
+		close(replay)
+		scoreMultiStream(replay, out, nil)
+	} else {
+		ch, err := dev.single.StreamFrom(ctx, core.NewTraceSource(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var samples []core.Sample
+		for s := range ch {
+			samples = append(samples, s)
+			fixes = append(fixes, ReplayFix{T: s.T, Pos: s.Pos, Valid: s.Valid, Degraded: s.Degraded})
+		}
+		replay := make(chan core.Sample, len(samples))
+		for _, s := range samples {
+			replay <- s
+		}
+		close(replay)
+		scoreTrackingStream(replay, c, out, nil)
+	}
+	return fixes, out, distinct
 }

@@ -273,50 +273,36 @@ func runCell(ctx context.Context, sp *Spec, deviceIndex int, timing bool) (*cell
 	return out, nil
 }
 
-// runTrackingCell streams the cell's trajectory (or two-person pair)
-// through the pipeline and collects localization errors.
+// runTrackingCell streams the cell's trajectories (one per body)
+// through the pipeline and collects localization errors. The cell
+// consumes the streaming API — the production path — rather than the
+// batch Run, so the scenario matrix exercises exactly the code path a
+// live deployment uses.
 func runTrackingCell(ctx context.Context, sp *Spec, deviceIndex int, out *cellOutcome) error {
 	c, err := Compile(sp, deviceIndex)
 	if err != nil {
 		return err
 	}
-
-	if len(c.Trajectories) >= 2 {
-		return runMultiPersonCell(ctx, c, out)
-	}
-
-	dev, err := core.NewDevice(c.Config)
+	dev, err := newCellDevice(c, ReplayOptions{})
 	if err != nil {
 		return err
 	}
-	dev.Workers = c.Workers
-	if c.CalibrateFrames > 0 {
-		dev.CalibrateBackground(c.CalibrateFrames)
-	}
-	if c.Faults != nil {
-		if err := dev.InjectFaults(*c.Faults); err != nil {
-			return err
-		}
-	}
-	// The cell consumes Device.Stream — the production API — rather
-	// than the batch Run, so the scenario matrix exercises exactly the
-	// code path a live deployment uses.
-	scoreTrackingStream(dev.Stream(ctx, c.Trajectories[0]), c, out)
-	if err := ctx.Err(); err != nil {
+	if err := dev.run(ctx, nil, out, nil); err != nil {
 		return err
 	}
-	if c.Faults != nil {
-		out.recordFaults(dev.FaultStats())
-	}
-	return nil
+	return ctx.Err()
 }
 
 // scoreTrackingStream drains a sample stream and accumulates the cell's
-// localization errors and metrics. It is shared between live synthesis
+// localization errors and metrics, reporting each sample to observe
+// (when non-nil) as it arrives. It is shared between live synthesis
 // cells and trace replays, so both paths score byte-identically.
-func scoreTrackingStream(ch <-chan core.Sample, c *Compiled, out *cellOutcome) {
+func scoreTrackingStream(ch <-chan core.Sample, c *Compiled, out *cellOutcome, observe func(ReplayFix)) {
 	acquired, outage := false, 0
 	for s := range ch {
+		if observe != nil {
+			observe(ReplayFix{T: s.T, Pos: s.Pos, Valid: s.Valid, Degraded: s.Degraded})
+		}
 		out.frames++
 		out.observe(s.Valid, s.Degraded, &acquired, &outage)
 		if !s.Valid {
@@ -336,42 +322,23 @@ func scoreTrackingStream(ch <-chan core.Sample, c *Compiled, out *cellOutcome) {
 	out.res.Metrics = trackingMetrics(out)
 }
 
-// runMultiPersonCell runs the generalized §10 k-person extension on
-// the streaming pipeline and scores the per-frame optimal assignment.
-func runMultiPersonCell(ctx context.Context, c *Compiled, out *cellOutcome) error {
-	dev, err := core.NewMultiDevice(c.Config, c.Subjects[1:]...)
-	if err != nil {
-		return err
-	}
-	dev.Workers = c.Workers
-	if c.Faults != nil {
-		if err := dev.InjectFaults(*c.Faults); err != nil {
-			return err
-		}
-	}
-	ch, err := dev.Stream(ctx, c.Trajectories...)
-	if err != nil {
-		return err
-	}
-	scoreMultiStream(ch, out)
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if c.Faults != nil {
-		out.recordFaults(dev.FaultStats())
-	}
-	return nil
-}
-
 // scoreMultiStream drains a k-person sample stream and accumulates the
 // cell's per-person plan-view errors under the per-frame optimal
 // assignment (an OSPA-style metric: the radio has no identities, so
 // every frame is scored against the best of the k! output-to-truth
-// permutations). Shared between live multi-person cells and trace
-// replays, so both paths score byte-identically.
-func scoreMultiStream(ch <-chan core.MultiSample, out *cellOutcome) {
+// permutations). Each sample is reported to observe (when non-nil) with
+// subject 0's position. Shared between live multi-person cells and
+// trace replays, so both paths score byte-identically.
+func scoreMultiStream(ch <-chan core.MultiSample, out *cellOutcome, observe func(ReplayFix)) {
 	acquired, outage := false, 0
 	for s := range ch {
+		if observe != nil {
+			fix := ReplayFix{T: s.T, Valid: s.Valid, Degraded: s.Degraded}
+			if len(s.Pos) > 0 {
+				fix.Pos = s.Pos[0]
+			}
+			observe(fix)
+		}
 		out.frames++
 		out.observe(s.Valid, s.Degraded, &acquired, &outage)
 		if !s.Valid {

@@ -154,11 +154,7 @@ func TestFleetConcurrentMultiDevice(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			out := &cellOutcome{}
-			c, err := Compile(&sp, 0)
-			if err == nil {
-				err = runMultiPersonCell(context.Background(), c, out)
-			}
-			results[i], errs[i] = out, err
+			results[i], errs[i] = out, runTrackingCell(context.Background(), &sp, 0, out)
 		}(i)
 	}
 	wg.Wait()

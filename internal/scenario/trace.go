@@ -26,60 +26,17 @@ func (s *Spec) Recordable() error {
 }
 
 // RecordCell captures one scenario × device cell into w as a .wtrace:
-// it compiles the cell, reproduces the runner's device setup (including
-// background calibration, which consumes the simulation RNG exactly as
-// a live run would), and streams every per-antenna frame plus ground
-// truth to disk — multi-person cells record on MultiDevice with one
-// truth record per subject. The trace header carries the scenario spec
-// verbatim, so ReplayTrace can rebuild the identical deployment.
-// Returns the number of frames captured and the encoded record-stream
-// size before compression (the numerator of the trace's compression
-// ratio; w receives the compressed bytes).
+// it compiles the cell, builds the same device the runner does
+// (including background calibration, which consumes the simulation RNG
+// exactly as a live run would), and streams every per-antenna frame
+// plus ground truth to disk — multi-person cells record on MultiDevice
+// with one truth record per subject. The trace header carries the
+// scenario spec verbatim, so ReplayTrace can rebuild the identical
+// deployment. Returns the number of frames captured and the encoded
+// record-stream size before compression (the numerator of the trace's
+// compression ratio; w receives the compressed bytes).
 func RecordCell(sp *Spec, deviceIndex int, w io.Writer) (int, int64, error) {
-	if err := sp.Recordable(); err != nil {
-		return 0, 0, err
-	}
-	c, err := Compile(sp, deviceIndex)
-	if err != nil {
-		return 0, 0, err
-	}
-
-	var h trace.Header
-	var record func(tw *trace.Writer) (int, error)
-	if len(c.Trajectories) >= 2 {
-		dev, err := core.NewMultiDevice(c.Config, c.Subjects[1:]...)
-		if err != nil {
-			return 0, 0, err
-		}
-		h = dev.TraceHeader()
-		record = func(tw *trace.Writer) (int, error) { return dev.RecordTo(tw, c.Trajectories...) }
-	} else {
-		dev, err := core.NewDevice(c.Config)
-		if err != nil {
-			return 0, 0, err
-		}
-		if c.CalibrateFrames > 0 {
-			dev.CalibrateBackground(c.CalibrateFrames)
-		}
-		h = dev.TraceHeader()
-		record = func(tw *trace.Writer) (int, error) { return dev.RecordTo(tw, c.Trajectories[0]) }
-	}
-	h.Name = sp.Name
-	h.DeviceIndex = deviceIndex
-	h.CalibrateFrames = c.CalibrateFrames
-	if h.Scenario, err = json.Marshal(sp); err != nil {
-		return 0, 0, fmt.Errorf("scenario %q: encoding provenance: %w", sp.Name, err)
-	}
-	tw, err := trace.NewWriter(w, h)
-	if err != nil {
-		return 0, 0, err
-	}
-	n, err := record(tw)
-	if err != nil {
-		tw.Close()
-		return n, tw.RawBytes(), err
-	}
-	return n, tw.RawBytes(), tw.Close()
+	return recordCell(sp, deviceIndex, w, false)
 }
 
 // RecordCellSweeps is RecordCell for the sweep domain: it captures the
@@ -95,6 +52,13 @@ func RecordCell(sp *Spec, deviceIndex int, w io.Writer) (int, int64, error) {
 // frames captured and the encoded record-stream size before
 // compression.
 func RecordCellSweeps(sp *Spec, deviceIndex int, w io.Writer) (int, int64, error) {
+	return recordCell(sp, deviceIndex, w, true)
+}
+
+// recordCell is the one body behind RecordCell and RecordCellSweeps:
+// it builds the cell's device, stamps the provenance header, and owns
+// the trace writer from open to close.
+func recordCell(sp *Spec, deviceIndex int, w io.Writer, sweeps bool) (int, int64, error) {
 	if err := sp.Recordable(); err != nil {
 		return 0, 0, err
 	}
@@ -102,24 +66,13 @@ func RecordCellSweeps(sp *Spec, deviceIndex int, w io.Writer) (int, int64, error
 	if err != nil {
 		return 0, 0, err
 	}
-	if len(c.Trajectories) != 1 {
-		return 0, 0, fmt.Errorf("scenario %q: sweep recording supports single-trajectory cells only (%d trajectories)",
-			sp.Name, len(c.Trajectories))
-	}
-	dev, err := core.NewDevice(c.Config)
+	dev, err := newCellDevice(c, ReplayOptions{})
 	if err != nil {
 		return 0, 0, err
 	}
-	if c.CalibrateFrames > 0 {
-		dev.CalibrateBackground(c.CalibrateFrames)
-	}
-	var h trace.Header
-	record := dev.RecordSweepsTo
-	if c.Config.Radio.ADCBits > 0 {
-		h = dev.SweepTraceHeaderInt16()
-		record = dev.RecordSweepsInt16To
-	} else {
-		h = dev.SweepTraceHeader()
+	h, record, err := dev.recorder(sweeps)
+	if err != nil {
+		return 0, 0, fmt.Errorf("scenario %q: %w", sp.Name, err)
 	}
 	h.Name = sp.Name
 	h.DeviceIndex = deviceIndex
@@ -131,7 +84,7 @@ func RecordCellSweeps(sp *Spec, deviceIndex int, w io.Writer) (int, int64, error
 	if err != nil {
 		return 0, 0, err
 	}
-	n, err := record(tw, c.Trajectories[0])
+	n, err := record(tw)
 	if err != nil {
 		tw.Close()
 		return n, tw.RawBytes(), err
@@ -205,7 +158,8 @@ type ReplayOptions struct {
 	// Observe, when non-nil, is called with every fused sample in frame
 	// order as the replay progresses — the hook live-stats surfaces (a
 	// daemon's per-session fps/last-fix counters) are built on. It runs
-	// on the replay's delivery path; keep it fast and non-blocking.
+	// inline on the goroutine that scores the replay, just before each
+	// sample is scored; keep it fast and non-blocking.
 	Observe func(ReplayFix)
 }
 
@@ -289,80 +243,23 @@ func ReplayTraceOpts(ctx context.Context, r io.Reader, opts ReplayOptions) (*Rep
 		return nil, fmt.Errorf("scenario %q: provenance compiles to ADCBits=%d, trace sample encoding is %q", sp.Name, c.Config.Radio.ADCBits, h.Sample)
 	}
 
-	workers := c.Workers
-	if opts.Workers > 0 {
-		workers = opts.Workers
+	dev, err := newCellDevice(c, opts)
+	if err != nil {
+		return nil, err
+	}
+	// The quantizer scale is derived from the deployment's static
+	// environment; a trace whose recorded scale no longer matches what
+	// the provenance compiles to would dequantize every code wrong.
+	if h.Sample == trace.SampleInt16 {
+		if got := dev.pipe.SweepTraceHeaderInt16().ADCScale; got != h.ADCScale {
+			return nil, fmt.Errorf("scenario %q: provenance compiles to ADC scale %g, trace recorded %g", sp.Name, got, h.ADCScale)
+		}
 	}
 	src := core.NewTraceSourceArena(tr, opts.Arena)
 	out := &cellOutcome{}
-	var runErr func() error
-	if len(c.Trajectories) >= 2 {
-		dev, err := core.NewMultiDevice(c.Config, c.Subjects[1:]...)
-		if err != nil {
-			return nil, err
-		}
-		dev.Workers = workers
-		dev.Pool = opts.Pool
-		dev.Batch = opts.Batch
-		dev.FrameDeadline = opts.FrameDeadline
-		if c.Faults != nil {
-			if err := dev.InjectFaults(*c.Faults); err != nil {
-				return nil, err
-			}
-		}
-		ch, err := dev.StreamFrom(ctx, src)
-		if err != nil {
-			return nil, err
-		}
-		if opts.Observe != nil {
-			ch = teeMulti(ch, opts.Observe)
-		}
-		scoreMultiStream(ch, out)
-		if c.Faults != nil {
-			out.recordFaults(dev.FaultStats())
-		}
-		runErr = dev.RunError
-	} else {
-		dev, err := core.NewDevice(c.Config)
-		if err != nil {
-			return nil, err
-		}
-		// The quantizer scale is derived from the deployment's static
-		// environment; a trace whose recorded scale no longer matches what
-		// the provenance compiles to would dequantize every code wrong.
-		if h.Sample == trace.SampleInt16 {
-			if got := dev.SweepTraceHeaderInt16().ADCScale; got != h.ADCScale {
-				return nil, fmt.Errorf("scenario %q: provenance compiles to ADC scale %g, trace recorded %g", sp.Name, got, h.ADCScale)
-			}
-		}
-		dev.Workers = workers
-		dev.Pool = opts.Pool
-		dev.Batch = opts.Batch
-		dev.FrameDeadline = opts.FrameDeadline
-		if c.CalibrateFrames > 0 {
-			dev.CalibrateBackground(c.CalibrateFrames)
-		}
-		if c.Faults != nil {
-			if err := dev.InjectFaults(*c.Faults); err != nil {
-				return nil, err
-			}
-		}
-		ch, err := dev.StreamFrom(ctx, src)
-		if err != nil {
-			return nil, err
-		}
-		if opts.Observe != nil {
-			ch = teeSingle(ch, opts.Observe)
-		}
-		scoreTrackingStream(ch, c, out)
-		if c.Faults != nil {
-			out.recordFaults(dev.FaultStats())
-		}
-		runErr = dev.RunError
-	}
 	// Ordering matters: a watchdog stall (RunError) is the root cause
 	// when a slow source also surfaces a late decode error.
-	if err := runErr(); err != nil {
+	if err := dev.run(ctx, src, out, opts.Observe); err != nil {
 		return nil, err
 	}
 	if err := src.Err(); err != nil {
@@ -380,47 +277,6 @@ func ReplayTraceOpts(ctx context.Context, r io.Reader, opts ReplayOptions) (*Rep
 	}, nil
 }
 
-// teeSingle forwards the sample stream unchanged while reporting each
-// sample to observe — the scoring path downstream sees exactly the
-// frames it would without the tee.
-func teeSingle(ch <-chan core.Sample, observe func(ReplayFix)) <-chan core.Sample {
-	out := make(chan core.Sample)
-	go func() {
-		defer close(out)
-		for s := range ch {
-			observe(ReplayFix{T: s.T, Pos: s.Pos, Valid: s.Valid, Degraded: s.Degraded})
-			out <- s
-		}
-	}()
-	return out
-}
-
-// teeMulti is teeSingle for the k-person stream; the fix reports
-// subject 0's position.
-func teeMulti(ch <-chan core.MultiSample, observe func(ReplayFix)) <-chan core.MultiSample {
-	out := make(chan core.MultiSample)
-	go func() {
-		defer close(out)
-		for s := range ch {
-			fix := ReplayFix{T: s.T, Valid: s.Valid, Degraded: s.Degraded}
-			if len(s.Pos) > 0 {
-				fix.Pos = s.Pos[0]
-			}
-			observe(fix)
-			out <- s
-		}
-	}()
-	return out
-}
-
-// Corpus returns the compact scenario set behind the checked-in golden
-// trace corpus: four canonical workloads (line-of-sight walk,
-// through-wall walk, calibrated static presence, two-person tracking)
-// on a reduced radio — MaxRange trimmed to the confined walking region
-// and more sweeps averaged per frame — so the compressed traces stay
-// under ~1.5 MB total while still exercising the full tracking
-// pipeline, single- and multi-person. Refresh the corpus with
-// cmd/witrack-record (see README "Record & replay").
 // SweepCell returns the compact sweep-domain load cell: a SlowSynth
 // line-of-sight walk on a radio shrunk for raw-sweep capture — the ADC
 // rate cut to 128 kHz so a 2.5 ms sweep is 320 samples (FFT size 512)
@@ -451,6 +307,15 @@ func SweepCellInt16() Spec {
 	return sp
 }
 
+// Corpus returns the compact scenario set behind the checked-in golden
+// trace corpus: four canonical workloads (line-of-sight walk,
+// through-wall walk, calibrated static presence, two-person tracking)
+// plus a quantized int16 sweep-domain walk, on a reduced radio —
+// MaxRange trimmed to the confined walking region and more sweeps
+// averaged per frame — so the compressed traces stay within the
+// corpus budget while still exercising the full tracking pipeline,
+// single- and multi-person. Refresh the corpus with
+// cmd/witrack-record (see README "Record & replay").
 func Corpus() []Spec {
 	// The corpus radio: frames cover 11 m of round-trip range (the
 	// confined region's round trips top out near 10 m) at 16 frames/s.

@@ -3,10 +3,13 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"io"
 	"math"
 	"testing"
 
 	"witrack/internal/core"
+	"witrack/internal/dsp"
+	"witrack/internal/motion"
 	"witrack/internal/trace"
 )
 
@@ -275,50 +278,84 @@ func TestReplayRejectsMissingProvenance(t *testing.T) {
 	}
 }
 
-func TestReplayRejectsTamperedProvenance(t *testing.T) {
-	sp := corpusLikeSpec()
-	var buf bytes.Buffer
-	if _, _, err := RecordCell(sp, 0, &buf); err != nil {
+// retrace re-encodes a trace frame for frame under a tampered copy of
+// its header, in either sample encoding.
+func retrace(t *testing.T, data []byte, tamper func(*trace.Header)) []byte {
+	t.Helper()
+	tr, err := trace.NewReader(bytes.NewReader(data))
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-encode the trace with a header whose recorded deployment no
+	h := tr.Header()
+	tamper(&h)
+	var out bytes.Buffer
+	tw, err := trace.NewWriter(&out, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		frames []dsp.ComplexFrame
+		codes  [][]int16
+		truths []motion.BodyState
+	)
+	for {
+		if h.Sample == trace.SampleInt16 {
+			if codes, truths, err = tr.ReadFrameInt16Into(codes, truths); err == nil {
+				err = tw.WriteFrameInt16Truths(codes, truths)
+			}
+		} else if frames, truths, err = tr.ReadFrameTruthsInto(frames, truths); err == nil {
+			err = tw.WriteFrameTruths(frames, truths)
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+func TestReplayRejectsTamperedProvenance(t *testing.T) {
+	var bins, int16s bytes.Buffer
+	if _, _, err := RecordCell(corpusLikeSpec(), 0, &bins); err != nil {
+		t.Fatal(err)
+	}
+	sweep := SweepCellInt16()
+	if _, _, err := RecordCellSweeps(&sweep, 0, &int16s); err != nil {
+		t.Fatal(err)
+	}
+	// Re-encode each trace with a header whose recorded deployment no
 	// longer matches what the provenance spec compiles to: replay must
-	// refuse rather than score frames against the wrong device.
-	for name, tamper := range map[string]func(*trace.Header){
-		"seed":      func(h *trace.Header) { h.Seed += 1000 },
-		"radio":     func(h *trace.Header) { h.Radio.MaxRange += 2 },
-		"calibrate": func(h *trace.Header) { h.CalibrateFrames /= 2 },
+	// refuse rather than score frames against the wrong device. The
+	// untampered re-encodings must still replay, so every rejection is
+	// the tampering's doing.
+	for name, tc := range map[string]struct {
+		data   []byte
+		tamper func(*trace.Header)
+		ok     bool
+	}{
+		"seed":             {bins.Bytes(), func(h *trace.Header) { h.Seed += 1000 }, false},
+		"radio":            {bins.Bytes(), func(h *trace.Header) { h.Radio.MaxRange += 2 }, false},
+		"calibrate":        {bins.Bytes(), func(h *trace.Header) { h.CalibrateFrames /= 2 }, false},
+		"adc_scale":        {int16s.Bytes(), func(h *trace.Header) { h.ADCScale *= 1.5 }, false},
+		"sweeps_per_frame": {int16s.Bytes(), func(h *trace.Header) { h.SweepsPerFrame++ }, false},
+		"untampered-bins":  {bins.Bytes(), func(*trace.Header) {}, true},
+		"untampered-int16": {int16s.Bytes(), func(*trace.Header) {}, true},
 	} {
 		t.Run(name, func(t *testing.T) {
-			tr, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			h := tr.Header()
-			tamper(&h)
-			var tampered bytes.Buffer
-			tw, err := trace.NewWriter(&tampered, h)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for {
-				frames, truth, hasTruth, err := tr.ReadFrame()
-				if err != nil {
-					break
-				}
-				var tp = &truth
-				if !hasTruth {
-					tp = nil
-				}
-				if err := tw.WriteFrame(frames, tp); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := tw.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := ReplayTrace(context.Background(), bytes.NewReader(tampered.Bytes())); err == nil {
+			data := retrace(t, tc.data, tc.tamper)
+			_, err := ReplayTrace(context.Background(), bytes.NewReader(data))
+			switch {
+			case tc.ok && err != nil:
+				t.Fatalf("untampered re-encoding must replay: %v", err)
+			case !tc.ok && err == nil:
 				t.Fatal("replay must reject provenance that compiles to a different deployment")
+			case err != nil:
+				t.Logf("rejected: %v", err)
 			}
 		})
 	}

@@ -24,9 +24,8 @@ var ErrSessionLimit = errors.New("svc: session limit reached")
 // policies.
 type Config struct {
 	// PoolSize bounds concurrent heavy compute across ALL sessions (the
-	// shared core.WorkerPool). 0 selects a single slot per CPU-ish
-	// default of 4 — the daemon's whole point is that many sessions
-	// time-slice a small pool.
+	// shared core.WorkerPool). 0 = 4 slots, whatever the CPU count — the
+	// daemon's whole point is that many sessions time-slice a small pool.
 	PoolSize int
 	// MaxSessions caps tracked sessions (waiting + running + retained
 	// finished). Creation beyond it is refused with 429. 0 = 64.

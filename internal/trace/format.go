@@ -187,8 +187,8 @@ func (h *Header) Validate() error {
 	if h.Interval <= 0 {
 		return fmt.Errorf("%w: non-positive frame interval %g", ErrCorrupt, h.Interval)
 	}
-	if h.NumRx <= 0 {
-		return fmt.Errorf("%w: non-positive antenna count %d", ErrCorrupt, h.NumRx)
+	if h.NumRx <= 0 || h.NumRx > geom.MaxRx {
+		return fmt.Errorf("%w: antenna count %d outside 1..%d", ErrCorrupt, h.NumRx, geom.MaxRx)
 	}
 	if h.Bins < 0 || h.Frames < 0 || h.CalibrateFrames < 0 {
 		return fmt.Errorf("%w: negative header count", ErrCorrupt)

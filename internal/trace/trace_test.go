@@ -5,6 +5,8 @@ import (
 	"compress/gzip"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"math/rand"
@@ -460,5 +462,28 @@ func TestHugePayloadLengthRejected(t *testing.T) {
 	}
 	if _, _, _, err := tr.ReadFrame(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt for oversized payload, got %v", err)
+	}
+}
+
+// TestHugeAntennaCountRejected hand-crafts ~100-byte traces whose
+// header claims an absurd antenna count over an empty compressed body:
+// NewReader sizes its per-antenna delta state from NumRx, so it must
+// refuse the header before allocating (a daemon feeds it untrusted
+// ingest bytes).
+func TestHugeAntennaCountRejected(t *testing.T) {
+	var body bytes.Buffer
+	zw := gzip.NewWriter(&body)
+	zw.Close()
+	for _, numRx := range []int64{geom.MaxRx + 1, 1 << 34} {
+		hdr := []byte(fmt.Sprintf(`{"interval":0.0125,"num_rx":%d}`, numRx))
+		data := append([]byte(nil), Magic[:]...)
+		data = binary.LittleEndian.AppendUint16(data, versionPlain)
+		data = binary.LittleEndian.AppendUint32(data, uint32(len(hdr)))
+		data = append(data, hdr...)
+		data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(hdr))
+		data = append(data, body.Bytes()...)
+		if _, err := NewReader(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("num_rx %d: want ErrCorrupt, got %v", numRx, err)
+		}
 	}
 }

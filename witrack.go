@@ -167,28 +167,18 @@ const (
 )
 
 // pipeline is the control surface Device and MultiDevice share, written
-// once and promoted to both: the pipeline knobs and run reports of the
-// core device underneath.
-type pipeline struct {
-	dev interface {
-		TraceHeader() TraceHeader
-		InjectFaults(FaultSchedule) error
-		FaultStats() FaultStats
-		RunError() error
-	}
-	workers  *int
-	deadline *time.Duration
-	pool     **WorkerPool
-}
+// once and promoted to both: the knobs and run reports of the core
+// pipeline both device types embed.
+type pipeline struct{ p *core.Pipeline }
 
 // TraceHeader returns the .wtrace header describing this device's
 // deployment, ready to open a TraceWriter with.
-func (p *pipeline) TraceHeader() TraceHeader { return p.dev.TraceHeader() }
+func (p *pipeline) TraceHeader() TraceHeader { return p.p.TraceHeader() }
 
 // SetWorkers sets the number of per-antenna pipeline workers: 0 (the
 // default) uses one per receive antenna; 1 degenerates to a serial
 // processing stage (useful for measuring the parallel speedup).
-func (p *pipeline) SetWorkers(n int) { *p.workers = n }
+func (p *pipeline) SetWorkers(n int) { p.p.Workers = n }
 
 // InjectFaults installs a deterministic fault schedule for subsequent
 // runs: dropped frames, dark antennas, NaN bursts, amplitude spikes,
@@ -197,26 +187,26 @@ func (p *pipeline) SetWorkers(n int) { *p.workers = n }
 // bit-identical at any worker count. The always-on health monitoring
 // quarantines the damage; the solver (single- or k-person) drops to the
 // healthy antenna subset when an antenna goes dark.
-func (p *pipeline) InjectFaults(s FaultSchedule) error { return p.dev.InjectFaults(s) }
+func (p *pipeline) InjectFaults(s FaultSchedule) error { return p.p.InjectFaults(s) }
 
 // FaultStats returns the injection counters accumulated by the last run.
-func (p *pipeline) FaultStats() FaultStats { return p.dev.FaultStats() }
+func (p *pipeline) FaultStats() FaultStats { return p.p.FaultStats() }
 
 // RunError reports why the last run ended early (e.g. the watchdog
 // declaring the frame source stalled), or nil for a clean end.
-func (p *pipeline) RunError() error { return p.dev.RunError() }
+func (p *pipeline) RunError() error { return p.p.RunError() }
 
 // SetFrameDeadline arms the source watchdog: if the frame source
 // delivers nothing for the given duration the run ends and RunError
 // reports the stall. Zero (the default) disables the watchdog.
-func (p *pipeline) SetFrameDeadline(deadline time.Duration) { *p.deadline = deadline }
+func (p *pipeline) SetFrameDeadline(deadline time.Duration) { p.p.FrameDeadline = deadline }
 
 // SetPool gates this device's heavy per-antenna compute on a shared
 // WorkerPool, so many devices in one process (a daemon's sessions)
 // time-slice a bounded slot count instead of oversubscribing the host.
 // nil (the default) runs unpooled. Pooling reschedules work but never
 // changes output bits.
-func (p *pipeline) SetPool(pool *WorkerPool) { *p.pool = pool }
+func (p *pipeline) SetPool(pool *WorkerPool) { p.p.Pool = pool }
 
 // Device is a WiTrack unit driving the full pipeline.
 type Device struct {
@@ -230,7 +220,7 @@ func NewDevice(cfg Config) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Device{pipeline{d, &d.Workers, &d.FrameDeadline, &d.Pool}, d}, nil
+	return &Device{pipeline{&d.Pipeline}, d}, nil
 }
 
 // Run tracks the trajectory for its full duration.
@@ -299,7 +289,7 @@ func NewMultiDevice(cfg Config, others ...Subject) (*MultiDevice, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &MultiDevice{pipeline{d, &d.Workers, &d.FrameDeadline, &d.Pool}, d}, nil
+	return &MultiDevice{pipeline{&d.Pipeline}, d}, nil
 }
 
 // NumSubjects returns k, the concurrent-target count.
