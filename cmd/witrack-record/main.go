@@ -1,8 +1,9 @@
 // Command witrack-record captures scenario cells to .wtrace files: each
-// single-trajectory scenario × device cell is compiled, simulated once,
-// and its bit-identical per-antenna frame stream written to disk with
-// the scenario spec embedded as provenance. The traces replay through
-// witrack-replay (or core.TraceSource) without paying synthesis cost.
+// tracking scenario × device cell (one trajectory per body) is
+// compiled, simulated once, and its bit-identical per-antenna frame
+// stream written to disk with the scenario spec embedded as provenance.
+// The traces replay through witrack-replay (or core.TraceSource)
+// without paying synthesis cost.
 //
 // After writing each trace the command replays it in-process and scores
 // it — validating the round trip immediately — and -json writes those

@@ -224,18 +224,19 @@ func (d *MultiDevice) StreamFrom(ctx context.Context, src FrameSource) (<-chan M
 	return d.streamTo(ctx, src), nil
 }
 
-// RecordTo simulates one trajectory per subject and streams every
-// per-antenna complex frame (plus all k ground-truth states) into tw —
-// MultiDevice's counterpart of Device.RecordTo, holding one frame in
-// memory at a time. The caller closes tw. Replaying the trace through
-// StreamFrom on a fresh identically-configured MultiDevice is
-// bit-identical to running the trajectories directly.
+// RecordTo simulates one trajectory per subject and streams every frame
+// (plus all k ground-truth states) into tw in the form tw's header
+// picks — per-antenna complex frames, raw sweeps or quantized ADC codes
+// (see Device.RecordTo) — holding one frame in memory at a time. The
+// caller closes tw. Replaying the trace through StreamFrom on a fresh
+// identically-configured MultiDevice is bit-identical to running the
+// trajectories directly.
 func (d *MultiDevice) RecordTo(tw *trace.Writer, trajs ...motion.Trajectory) (int, error) {
 	src, err := d.trajSource(trajs)
 	if err != nil {
 		return 0, err
 	}
-	return d.recordTo(tw, src)
+	return d.capture(tw, src)
 }
 
 // Reset clears tracker and body-simulation state so the device can run

@@ -19,7 +19,7 @@ import (
 // Pipeline is the pipeline both device types are built on: the radio
 // and propagation models, the locator, the simulation RNG and frame
 // ring, the robustness state, and the settable pipeline knobs, plus
-// the one record loop and the one health-monitored stream. Device and
+// the one capture loop and the one health-monitored stream. Device and
 // MultiDevice embed it and supply only their tracker stage — a
 // per-antenna Push/Coast step and a per-frame fusion. It is exported so
 // callers can reach either device's knobs and reports through one
@@ -242,31 +242,61 @@ func forEachBatch(src FrameSource, fn func(b *FrameBatch) error) (int, error) {
 	}
 }
 
-// record drains src and hands every materialized frame to sink in
-// frame order, together with the frame's ground truth (one state per
-// subject; empty when the source carries none). The frames are exactly
-// what the pipeline workers would have produced — replaying them
-// through StreamFrom on a fresh identically-configured device is
-// bit-identical to running the trajectories directly. The slices are
-// reused between calls; sink must consume them before returning.
-func (c *Pipeline) record(src FrameSource,
-	sink func(frames []dsp.ComplexFrame, truths []motion.BodyState) error) (int, error) {
+// capture drains src into tw in the form tw's header picks — the one
+// record loop behind every Record*To method. A bin-domain header gets
+// each antenna's materialized complex frame, exactly what the pipeline
+// workers would have produced; a sweep-domain header gets the raw
+// time-domain sweeps, packed pairwise into complex values for float64
+// samples or as the ADC codes themselves for SampleInt16. Either way
+// the trace carries ground truth per frame (one state per subject), and
+// replaying it through StreamFrom on a fresh identically-configured
+// device is bit-identical to running the trajectories directly.
+//
+// A header this device cannot produce is rejected before src is
+// touched: sweeps need SlowSynth (the fast path never materializes
+// them) and the device's sweep shape; int16 codes need a quantizing
+// radio (Radio.ADCBits), and a quantizing radio records only codes.
+func (c *Pipeline) capture(tw *trace.Writer, src FrameSource) (int, error) {
+	h := tw.Header()
+	spf, ns := c.cfg.Radio.SweepsPerFrame, c.cfg.Radio.SamplesPerSweep()
+	int16s := h.Sample == trace.SampleInt16
+	switch {
+	case h.Domain != trace.DomainSweeps:
+	case !c.cfg.SlowSynth:
+		return 0, fmt.Errorf("core: sweep recording requires SlowSynth (the fast path never materializes time-domain sweeps)")
+	case h.SweepsPerFrame != spf || h.SamplesPerSweep != ns:
+		return 0, fmt.Errorf("core: trace sweep shape %d × %d does not match the device's %d × %d",
+			h.SweepsPerFrame, h.SamplesPerSweep, spf, ns)
+	case int16s && c.cfg.Radio.ADCBits == 0:
+		return 0, fmt.Errorf("core: int16 sweep recording requires Radio.ADCBits (the unquantized path records float64 sweeps)")
+	case !int16s && c.cfg.Radio.ADCBits > 0:
+		return 0, fmt.Errorf("core: device has ADCBits=%d; quantized sweeps record as int16", c.cfg.Radio.ADCBits)
+	}
 	scratch := c.newScratch()
 	frames := make([]dsp.ComplexFrame, len(scratch))
-	return forEachBatch(src, func(b *FrameBatch) error {
+	if h.Domain == trace.DomainSweeps && !int16s {
 		for k := range frames {
-			frames[k] = scratch[k].materialize(c.synth, c.prop, k, b)
+			frames[k] = make(dsp.ComplexFrame, spf*ns/2)
 		}
-		return sink(frames, b.States)
-	})
-}
-
-// recordTo is record streaming into tw: every per-antenna complex frame
-// plus its ground truth, one frame in memory at a time. It returns the
-// number of frames written.
-func (c *Pipeline) recordTo(tw *trace.Writer, src FrameSource) (int, error) {
-	return c.record(src, func(frames []dsp.ComplexFrame, truths []motion.BodyState) error {
-		return tw.WriteFrameTruths(frames, truths)
+	}
+	return forEachBatch(src, func(b *FrameBatch) error {
+		switch {
+		case int16s:
+			return tw.WriteFrameInt16Truths(b.codes16, b.States)
+		case h.Domain == trace.DomainSweeps:
+			for k, dst := range frames {
+				sw := b.sweeps[k]
+				for i := range dst {
+					m := 2 * i
+					dst[i] = complex(sw[m/ns][m%ns], sw[(m+1)/ns][(m+1)%ns])
+				}
+			}
+		default:
+			for k := range frames {
+				frames[k] = scratch[k].materialize(c.synth, c.prop, k, b)
+			}
+		}
+		return tw.WriteFrameTruths(frames, b.States)
 	})
 }
 

@@ -8,66 +8,50 @@ import (
 	"witrack/internal/trace"
 )
 
-// RecordSweepsTo simulates the trajectory and streams every frame's raw
-// time-domain sweeps into tw as a sweep-domain trace (the header must
-// come from SweepTraceHeader). It requires SlowSynth — the fast path
-// synthesizes spectra directly and never materializes sweeps. The
-// samples written are bit-for-bit the sweeps a live SlowSynth run
-// processes (the RNG is consumed identically), so replaying the trace
-// through the window + RFFT + averaging path on a fresh device is
-// bit-identical to the live run — the sweep-domain leg of the
-// live == replay == served parity chain.
-func (d *Device) RecordSweepsTo(tw *trace.Writer, traj motion.Trajectory) (int, error) {
-	if !d.cfg.SlowSynth {
-		return 0, fmt.Errorf("core: sweep recording requires SlowSynth (the fast path never materializes time-domain sweeps)")
-	}
-	if d.cfg.Radio.ADCBits > 0 {
-		return 0, fmt.Errorf("core: device has ADCBits=%d; quantized sweeps record as int16 (use RecordSweepsInt16To)", d.cfg.Radio.ADCBits)
-	}
-	spf := d.cfg.Radio.SweepsPerFrame
-	ns := d.cfg.Radio.SamplesPerSweep()
-	if spf*ns%2 != 0 {
-		return 0, fmt.Errorf("core: %d sweeps × %d samples cannot pack into complex pairs", spf, ns)
-	}
-	bins := spf * ns / 2
-	nRx := len(d.cfg.Array.Rx)
-	packed := make([]dsp.ComplexFrame, nRx)
-	for k := range packed {
-		packed[k] = make(dsp.ComplexFrame, bins)
-	}
-	return forEachBatch(d.trajSource(traj), func(b *FrameBatch) error {
-		for k := 0; k < nRx; k++ {
-			sw := b.sweeps[k]
-			dst := packed[k]
-			for i := 0; i < bins; i++ {
-				m := 2 * i
-				dst[i] = complex(sw[m/ns][m%ns], sw[(m+1)/ns][(m+1)%ns])
-			}
-		}
-		return tw.WriteFrameTruths(packed, b.States)
-	})
+// RecordTo simulates the trajectory and streams every frame into tw in
+// the form tw's header picks (see Pipeline.capture): per-antenna
+// complex frames for a TraceHeader, raw time-domain sweeps for a
+// SweepTraceHeader, quantized ADC codes for a SweepTraceHeaderInt16 —
+// plus ground truth, holding only one frame in memory at a time. It
+// returns the number of frames written and rejects, before simulating
+// anything, a header the device cannot produce. The caller closes tw
+// (the trailer makes the trace verifiable; an unclosed trace reads back
+// as corrupt).
+//
+// Like Record, this consumes the device's simulation RNG exactly as a
+// live run would: record on a fresh device, replay on another.
+func (d *Device) RecordTo(tw *trace.Writer, traj motion.Trajectory) (int, error) {
+	return d.capture(tw, d.trajSource(traj))
 }
 
-// RecordSweepsInt16To simulates the trajectory and streams every
-// frame's quantized ADC codes into tw as an int16 sweep-domain trace
-// (the header must come from SweepTraceHeaderInt16). It requires
-// SlowSynth and Radio.ADCBits > 0: the source digitizes each sweep at
-// the configured resolution and the codes written here are bit-for-bit
-// the codes a live quantized run feeds its fused dequantize+window
-// kernels, so live == recorded == replayed holds by construction —
-// there is no separate "recording quantizer" to drift from the live
-// one. Delta coding plus gzip makes the result roughly 4x smaller than
-// the float64 sweep encoding of the same signal.
+// RecordSweepsTo is RecordTo for a float64 sweep-domain trace (the
+// header must come from SweepTraceHeader). It requires SlowSynth — the
+// fast path synthesizes spectra directly and never materializes sweeps.
+// The samples written are bit-for-bit the sweeps a live SlowSynth run
+// processes, so replaying the trace through the window + RFFT +
+// averaging path on a fresh device is bit-identical to the live run —
+// the sweep-domain leg of the live == replay == served parity chain.
+func (d *Device) RecordSweepsTo(tw *trace.Writer, traj motion.Trajectory) (int, error) {
+	if h := tw.Header(); h.Domain != trace.DomainSweeps || h.Sample != "" {
+		return 0, fmt.Errorf("core: RecordSweepsTo needs a float64 sweep-domain header (SweepTraceHeader)")
+	}
+	return d.RecordTo(tw, traj)
+}
+
+// RecordSweepsInt16To is RecordTo for an int16 sweep-domain trace (the
+// header must come from SweepTraceHeaderInt16). It requires SlowSynth
+// and Radio.ADCBits > 0: the source digitizes each sweep at the
+// configured resolution and the codes written are bit-for-bit the codes
+// a live quantized run feeds its fused dequantize+window kernels, so
+// live == recorded == replayed holds by construction — there is no
+// separate "recording quantizer" to drift from the live one. Delta
+// coding plus gzip makes the result roughly 4x smaller than the float64
+// sweep encoding of the same signal.
 func (d *Device) RecordSweepsInt16To(tw *trace.Writer, traj motion.Trajectory) (int, error) {
-	if !d.cfg.SlowSynth {
-		return 0, fmt.Errorf("core: sweep recording requires SlowSynth (the fast path never materializes time-domain sweeps)")
+	if tw.Header().Sample != trace.SampleInt16 {
+		return 0, fmt.Errorf("core: RecordSweepsInt16To needs an int16 sweep-domain header (SweepTraceHeaderInt16)")
 	}
-	if d.cfg.Radio.ADCBits == 0 {
-		return 0, fmt.Errorf("core: int16 sweep recording requires Radio.ADCBits (the unquantized path records float64 sweeps; use RecordSweepsTo)")
-	}
-	return forEachBatch(d.trajSource(traj), func(b *FrameBatch) error {
-		return tw.WriteFrameInt16Truths(b.codes16, b.States)
-	})
+	return d.RecordTo(tw, traj)
 }
 
 // Record simulates the trajectory and captures every per-antenna
@@ -82,14 +66,15 @@ func (d *Device) RecordSweepsInt16To(tw *trace.Writer, traj motion.Trajectory) (
 // disk with RecordTo instead.
 func (d *Device) Record(traj motion.Trajectory) *RecordedSource {
 	rec := &RecordedSource{Interval: d.cfg.Radio.FrameInterval()}
-	d.record(d.trajSource(traj), func(frames []dsp.ComplexFrame, truths []motion.BodyState) error {
-		cp := make([]dsp.ComplexFrame, len(frames))
-		for k, f := range frames {
-			cp[k] = append(dsp.ComplexFrame(nil), f...)
+	scratch := d.newScratch()
+	forEachBatch(d.trajSource(traj), func(b *FrameBatch) error {
+		frames := make([]dsp.ComplexFrame, len(scratch))
+		for k := range frames {
+			frames[k] = append(dsp.ComplexFrame(nil), scratch[k].materialize(d.synth, d.prop, k, b)...)
 		}
-		rec.Frames = append(rec.Frames, cp)
-		if len(truths) > 0 {
-			rec.Truth = append(rec.Truth, truths[0])
+		rec.Frames = append(rec.Frames, frames)
+		if len(b.States) > 0 {
+			rec.Truth = append(rec.Truth, b.States[0])
 		}
 		return nil
 	})

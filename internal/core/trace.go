@@ -12,15 +12,18 @@ import (
 )
 
 // SweepTraceHeader is TraceHeader for a sweep-domain capture: the
-// records hold raw time-domain sweeps packed pairwise into the complex
-// record layout (see trace.DomainSweeps), so a replay runs the full
-// window + RFFT + averaging path per frame instead of consuming
-// pre-transformed bins.
+// records hold the raw time-domain sweeps the device digitizes, so a
+// replay runs the full window + RFFT + averaging path per frame instead
+// of consuming pre-transformed bins. A quantizing radio (Radio.ADCBits
+// > 0) records its ADC codes, so its sweep header is
+// SweepTraceHeaderInt16; any other device records float64 samples
+// packed pairwise into the complex record layout (see
+// trace.DomainSweeps).
 func (c *Pipeline) SweepTraceHeader() trace.Header {
-	h := c.TraceHeader()
-	h.Domain = trace.DomainSweeps
-	h.SweepsPerFrame = c.cfg.Radio.SweepsPerFrame
-	h.SamplesPerSweep = c.cfg.Radio.SamplesPerSweep()
+	if c.cfg.Radio.ADCBits > 0 {
+		return c.SweepTraceHeaderInt16()
+	}
+	h := c.sweepShape()
 	h.Bins = h.SweepsPerFrame * h.SamplesPerSweep / 2
 	return h
 }
@@ -32,8 +35,7 @@ func (c *Pipeline) SweepTraceHeader() trace.Header {
 // scale derived from the loudest antenna's static environment, exactly
 // the scale the live pipeline quantizes with.
 func (c *Pipeline) SweepTraceHeaderInt16() trace.Header {
-	h := c.SweepTraceHeader()
-	h.Bins = 0
+	h := c.sweepShape()
 	h.Sample = trace.SampleInt16
 	h.ADCBits = c.cfg.Radio.ADCBits
 	h.ADCScale = fmcw.NewQuantizer(c.cfg.Radio.ADCBits,
@@ -41,16 +43,15 @@ func (c *Pipeline) SweepTraceHeaderInt16() trace.Header {
 	return h
 }
 
-// RecordTo simulates the trajectory and streams every per-antenna
-// complex frame (plus ground truth) into tw — the on-disk counterpart
-// of Record, holding only one frame in memory at a time. It returns the
-// number of frames written. The caller closes tw (the trailer makes the
-// trace verifiable; an unclosed trace reads back as corrupt).
-//
-// Like Record, this consumes the device's simulation RNG exactly as a
-// live run would: record on a fresh device, replay on another.
-func (d *Device) RecordTo(tw *trace.Writer, traj motion.Trajectory) (int, error) {
-	return d.recordTo(tw, d.trajSource(traj))
+// sweepShape is TraceHeader turned sweep-domain: the device's sweep
+// shape, with no sample encoding or bin count chosen yet.
+func (c *Pipeline) sweepShape() trace.Header {
+	h := c.TraceHeader()
+	h.Domain = trace.DomainSweeps
+	h.SweepsPerFrame = c.cfg.Radio.SweepsPerFrame
+	h.SamplesPerSweep = c.cfg.Radio.SamplesPerSweep()
+	h.Bins = 0
+	return h
 }
 
 // TraceSource adapts a trace.Reader into the pipeline's FrameSource:
@@ -125,16 +126,38 @@ func (s *TraceSource) Err() error { return s.err }
 func (s *TraceSource) Skipped() int { return s.r.Skipped() }
 
 // Next decodes the next recorded batch, or returns nil at end of trace
-// or on the first decode error (latched into Err).
+// or on the first decode error (latched into Err). The reader decodes
+// into the batch's recycled buffers in place: float64 records into its
+// complex frames (then, for sweep-domain traces, unpacked into per-sweep
+// sample buffers), int16 records into its code buffers with the
+// per-sweep job views re-sliced over them — no dequantized staging copy
+// exists anywhere; the workers' fused kernels read the codes directly.
 func (s *TraceSource) Next() *FrameBatch {
 	if s.err != nil {
 		return nil
 	}
-	if s.r.Header().Sample == trace.SampleInt16 {
-		return s.nextInt16()
-	}
+	h := s.r.Header()
 	b := s.ring.get()
-	frames, truths, err := s.r.ReadFrameTruthsInto(b.Frames, b.States[:0])
+	b.synth = nil
+	var truths []motion.BodyState
+	var err error
+	if h.Sample == trace.SampleInt16 {
+		var codes [][]int16
+		if codes, truths, err = s.r.ReadFrameInt16Into(b.codes16, b.States[:0]); err == nil {
+			b.codes16, b.scale16, b.Frames, b.sweeps = codes, h.ADCScale, nil, nil
+			err = viewSweeps16(b, &h)
+		}
+	} else {
+		var frames []dsp.ComplexFrame
+		if frames, truths, err = s.r.ReadFrameTruthsInto(b.Frames, b.States[:0]); err == nil {
+			b.Frames, b.sweeps16 = frames, nil
+			if h.Domain == trace.DomainSweeps {
+				err = unpackSweeps(b, &h)
+			} else {
+				b.sweeps = nil
+			}
+		}
+	}
 	if err != nil {
 		s.ring.put(b)
 		if !errors.Is(err, io.EOF) {
@@ -144,85 +167,48 @@ func (s *TraceSource) Next() *FrameBatch {
 	}
 	// The recorded index, not the decode count: in recover mode a skipped
 	// record leaves a gap in Index/T exactly like a dropped frame would.
-	index := s.r.FrameIndex()
-	b.Index = index
-	b.T = float64(index) * s.r.Header().Interval
-	b.Frames = frames
+	b.Index = s.r.FrameIndex()
+	b.T = float64(b.Index) * h.Interval
 	b.States = truths
-	b.synth = nil
-	b.sweeps = nil
-	b.sweeps16 = nil
-	if s.r.Header().Domain == trace.DomainSweeps {
-		if err := s.unpackSweeps(b, frames); err != nil {
-			s.ring.put(b)
-			s.err = err
-			return nil
-		}
-	}
 	return b
 }
 
-// nextInt16 decodes the next quantized sweep-domain batch: the reader
-// delta-decodes each antenna's ADC codes into the batch's recycled
-// backing buffers, and the per-sweep job views are re-sliced over them
-// in place — no dequantized staging copy exists anywhere; the workers'
-// fused kernels read the codes directly.
-func (s *TraceSource) nextInt16() *FrameBatch {
-	h := s.r.Header()
-	b := s.ring.get()
-	codes, truths, err := s.r.ReadFrameInt16Into(b.codes16, b.States[:0])
-	if err != nil {
-		s.ring.put(b)
-		if !errors.Is(err, io.EOF) {
-			s.err = err
-		}
-		return nil
-	}
+// viewSweeps16 slices each antenna's decoded codes into the per-sweep
+// job views the workers read (reused across recycled batches).
+func viewSweeps16(b *FrameBatch, h *trace.Header) error {
 	spf, ns := h.SweepsPerFrame, h.SamplesPerSweep
-	if len(b.sweeps16) != len(codes) {
-		b.sweeps16 = make([][][]int16, len(codes))
+	if len(b.sweeps16) != len(b.codes16) {
+		b.sweeps16 = make([][][]int16, len(b.codes16))
 	}
-	for k, c := range codes {
+	for k, c := range b.codes16 {
 		if len(c) != spf*ns {
-			s.ring.put(b)
-			s.err = fmt.Errorf("core: int16 sweep record for antenna %d has %d codes, want %d (%d sweeps × %d samples)",
+			return fmt.Errorf("core: int16 sweep record for antenna %d has %d codes, want %d (%d sweeps × %d samples)",
 				k, len(c), spf*ns, spf, ns)
-			return nil
 		}
 		views := b.sweeps16[k]
 		if len(views) != spf {
 			views = make([][]int16, spf)
 		}
-		for j := 0; j < spf; j++ {
+		for j := range views {
 			views[j] = c[j*ns : (j+1)*ns]
 		}
 		b.sweeps16[k] = views
 	}
-	index := s.r.FrameIndex()
-	b.Index = index
-	b.T = float64(index) * h.Interval
-	b.States = truths
-	b.codes16 = codes
-	b.scale16 = h.ADCScale
-	b.Frames = nil
-	b.synth = nil
-	b.sweeps = nil
-	return b
+	return nil
 }
 
 // unpackSweeps expands a sweep-domain record's pairwise-packed complex
-// values back into per-sweep float64 sample buffers (reused across
-// recycled batches), so the pipeline workers run the full window + RFFT
-// + averaging path on them. The packed Frames buffers stay on the batch
-// for ring reuse; materialize prefers b.sweeps when set.
-func (s *TraceSource) unpackSweeps(b *FrameBatch, frames []dsp.ComplexFrame) error {
-	h := s.r.Header()
+// values (b.Frames) back into per-sweep float64 sample buffers (reused
+// across recycled batches), so the pipeline workers run the full window
+// + RFFT + averaging path on them. The packed Frames buffers stay on the
+// batch for ring reuse; materialize prefers b.sweeps when set.
+func unpackSweeps(b *FrameBatch, h *trace.Header) error {
 	spf, ns := h.SweepsPerFrame, h.SamplesPerSweep
 	bins := spf * ns / 2
-	if len(b.sweeps) != len(frames) {
-		b.sweeps = make([][][]float64, len(frames))
+	if len(b.sweeps) != len(b.Frames) {
+		b.sweeps = make([][][]float64, len(b.Frames))
 	}
-	for k, f := range frames {
+	for k, f := range b.Frames {
 		if len(f) != bins {
 			return fmt.Errorf("core: sweep-domain record for antenna %d has %d values, want %d (%d sweeps × %d samples)",
 				k, len(f), bins, spf, ns)
@@ -231,13 +217,13 @@ func (s *TraceSource) unpackSweeps(b *FrameBatch, frames []dsp.ComplexFrame) err
 		if len(sw) != spf {
 			sw = make([][]float64, spf)
 		}
-		for j := 0; j < spf; j++ {
+		for j := range sw {
 			buf := sw[j]
 			if len(buf) != ns {
 				buf = make([]float64, ns)
 			}
 			base := j * ns
-			for t := 0; t < ns; t++ {
+			for t := range buf {
 				c := f[(base+t)/2]
 				if (base+t)%2 == 0 {
 					buf[t] = real(c)

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"context"
-	"fmt"
 
 	"witrack/internal/core"
 	"witrack/internal/trace"
@@ -89,29 +88,22 @@ func (d *cellDevice) run(ctx context.Context, src core.FrameSource, out *cellOut
 	return d.pipe.RunError()
 }
 
-// recorder returns the cell's trace header and the capture that writes
-// its frames: per-antenna range bins, or with sweeps the raw
-// time-domain sweeps — quantized int16 ADC codes when the radio models
-// an ADC. Sweep capture needs a one-body cell.
-func (d *cellDevice) recorder(sweeps bool) (trace.Header, func(*trace.Writer) (int, error), error) {
-	switch {
-	case !sweeps && d.multi != nil:
-		return d.pipe.TraceHeader(), func(tw *trace.Writer) (int, error) {
-			return d.multi.RecordTo(tw, d.c.Trajectories...)
-		}, nil
-	case !sweeps:
-		return d.pipe.TraceHeader(), func(tw *trace.Writer) (int, error) {
-			return d.single.RecordTo(tw, d.c.Trajectories[0])
-		}, nil
-	case d.multi != nil:
-		return trace.Header{}, nil, fmt.Errorf("sweep recording supports single-trajectory cells only (%d trajectories)", len(d.c.Trajectories))
-	case d.c.Config.Radio.ADCBits > 0:
-		return d.pipe.SweepTraceHeaderInt16(), func(tw *trace.Writer) (int, error) {
-			return d.single.RecordSweepsInt16To(tw, d.c.Trajectories[0])
-		}, nil
-	default:
-		return d.pipe.SweepTraceHeader(), func(tw *trace.Writer) (int, error) {
-			return d.single.RecordSweepsTo(tw, d.c.Trajectories[0])
-		}, nil
+// recorder returns the trace header the cell records under: per-antenna
+// range bins, or with sweeps the raw time-domain sweeps the device
+// digitizes (int16 ADC codes when the radio models an ADC). The header
+// alone decides what record writes.
+func (d *cellDevice) recorder(sweeps bool) trace.Header {
+	if sweeps {
+		return d.pipe.SweepTraceHeader()
 	}
+	return d.pipe.TraceHeader()
+}
+
+// record captures the cell's compiled trajectories into tw in the form
+// tw's header picks.
+func (d *cellDevice) record(tw *trace.Writer) (int, error) {
+	if d.multi != nil {
+		return d.multi.RecordTo(tw, d.c.Trajectories...)
+	}
+	return d.single.RecordTo(tw, d.c.Trajectories[0])
 }

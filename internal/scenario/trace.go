@@ -47,9 +47,10 @@ func RecordCell(sp *Spec, deviceIndex int, w io.Writer) (int, int64, error) {
 // quantized int16 ADC codes (trace.SampleInt16, roughly 4x smaller
 // compressed) instead of float64 samples; either way the same
 // provenance header RecordCell writes lets ReplayTrace rebuild the
-// identical deployment. It requires a single-trajectory SlowSynth cell
-// (the fast path never materializes sweeps). Returns the number of
-// frames captured and the encoded record-stream size before
+// identical deployment. Multi-person cells record on MultiDevice with
+// one truth record per subject, as in RecordCell. It requires a
+// SlowSynth cell (the fast path never materializes sweeps). Returns the
+// number of frames captured and the encoded record-stream size before
 // compression.
 func RecordCellSweeps(sp *Spec, deviceIndex int, w io.Writer) (int, int64, error) {
 	return recordCell(sp, deviceIndex, w, true)
@@ -70,10 +71,7 @@ func recordCell(sp *Spec, deviceIndex int, w io.Writer, sweeps bool) (int, int64
 	if err != nil {
 		return 0, 0, err
 	}
-	h, record, err := dev.recorder(sweeps)
-	if err != nil {
-		return 0, 0, fmt.Errorf("scenario %q: %w", sp.Name, err)
-	}
+	h := dev.recorder(sweeps)
 	h.Name = sp.Name
 	h.DeviceIndex = deviceIndex
 	h.CalibrateFrames = c.CalibrateFrames
@@ -84,7 +82,7 @@ func recordCell(sp *Spec, deviceIndex int, w io.Writer, sweeps bool) (int, int64
 	if err != nil {
 		return 0, 0, err
 	}
-	n, err := record(tw)
+	n, err := dev.record(tw)
 	if err != nil {
 		tw.Close()
 		return n, tw.RawBytes(), err

@@ -245,6 +245,78 @@ func TestSweepCellInt16ReplayMatchesLiveCell(t *testing.T) {
 	}
 }
 
+// TestMultiPersonSweepCellReplayMatchesLiveCell pins k-person sweep
+// capture: a two-walker SlowSynth cell on the SweepCell radio, recorded
+// as float64 sweeps or (behind a modeled ADC) as int16 codes, replays
+// with one truth record per walker and scores bit-identical to the live
+// cell. The walks run past the scoring warmup so the position errors,
+// not just the fix counts, are compared.
+func TestMultiPersonSweepCellReplayMatchesLiveCell(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		adcBits int
+		sample  string
+	}{
+		{"float64", 0, ""},
+		{"int16", 14, trace.SampleInt16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sp := SweepCell()
+			sp.Name = "sweep-duo-" + tc.name
+			sp.Devices[0].Radio.ADCBits = tc.adcBits
+			sp.Bodies[0].Motion.Duration = 3.5
+			sp.Bodies[0].Motion.Region = &RegionSpec{XMin: -1.2, XMax: 1.2, YMin: 3, YMax: 3.8}
+			sp.Bodies = append(sp.Bodies, BodySpec{
+				Subject: SubjectSpec{PanelSize: 11, PanelSeed: 309, PanelIndex: 3},
+				Motion: MotionSpec{Kind: MotionWalk, Duration: 3.5, Seed: 743,
+					Region: &RegionSpec{XMin: -0.8, XMax: 0.8, YMin: 4.8, YMax: 5.2}}})
+			if err := sp.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			live, err := runCell(context.Background(), &sp, 0, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var buf bytes.Buffer
+			frames, _, err := RecordCellSweeps(&sp, 0, &buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if frames != live.res.Frames {
+				t.Fatalf("recorded %d sweep frames, live cell processed %d", frames, live.res.Frames)
+			}
+			tr, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h := tr.Header(); h.Domain != trace.DomainSweeps || h.Sample != tc.sample {
+				t.Fatalf("recorded domain %q sample %q, want sweeps with sample %q", h.Domain, h.Sample, tc.sample)
+			}
+			if tc.sample == trace.SampleInt16 {
+				_, truths, err := tr.ReadFrameInt16Into(nil, nil)
+				if err != nil || len(truths) != 2 {
+					t.Fatalf("first frame carries %d truths (err %v), want 2", len(truths), err)
+				}
+			} else if _, truths, err := tr.ReadFrameTruthsInto(nil, nil); err != nil || len(truths) != 2 {
+				t.Fatalf("first frame carries %d truths (err %v), want 2", len(truths), err)
+			}
+
+			res, err := ReplayTraceOpts(context.Background(), bytes.NewReader(buf.Bytes()), ReplayOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Frames != live.res.Frames {
+				t.Fatalf("replayed %d frames, live cell %d", res.Frames, live.res.Frames)
+			}
+			if !metricsBitEqual(res.Metrics, live.res.Metrics) {
+				t.Fatalf("two-person sweep replay diverged from live cell:\n  live   %v\n  replay %v",
+					live.res.Metrics, res.Metrics)
+			}
+		})
+	}
+}
+
 func TestRecordableRejectsProtocols(t *testing.T) {
 	fall := New("f", "").Seeded(1).
 		Body(BodySpec{Motion: MotionSpec{Kind: MotionFallStudy}})

@@ -1,5 +1,5 @@
 // Package trace defines the .wtrace on-disk container for recorded
-// WiTrack frame streams: the bit-identical per-antenna complex frames a
+// WiTrack frame streams: the bit-identical per-antenna signal a
 // pipeline run consumes, captured once and replayed as a cheap,
 // deterministic regression corpus (the role the captured RF sweeps play
 // in the paper's evaluation).
@@ -7,10 +7,11 @@
 // A trace is a self-describing, versioned binary file:
 //
 //	magic      [6]byte  "WTRACE"
-//	version    uint16   little-endian (currently 1)
+//	version    uint16   little-endian: 2 for int16 traces, else 1
 //	headerLen  uint32   little-endian
 //	header     JSON     (Header: radio config, array geometry, seed,
-//	                     frame clock, optional scenario provenance)
+//	                     frame clock, record domain and sample encoding,
+//	                     optional scenario provenance)
 //	headerCRC  uint32   CRC-32 (IEEE) of the header JSON
 //	body       gzip stream of frame blocks, then one trailer block
 //
@@ -21,7 +22,7 @@
 //	payload    []byte   one frame record (below)
 //	payloadCRC uint32   CRC-32 (IEEE) of payload
 //
-// A frame record is:
+// Every trace uses one frame record layout:
 //
 //	index      uint32   frame number, strictly sequential from 0
 //	truthCount uint8    number of ground-truth BodyStates that follow
@@ -29,31 +30,25 @@
 //	                    multi-person capture; at most MaxTruths)
 //	truths     truthCount × [50]byte center xyz (3×f64), moving u8,
 //	                    handActive u8, hand xyz (3×f64)
-//	antennas   NumRx ×  (bins uint32, then bins × (re, im) float64 bits)
+//	antennas   NumRx × (count uint32, then count values)
 //
-// Complex samples are stored as IEEE-754 bit patterns XORed against the
-// same bin of the previous frame (zero for the first frame, or when the
-// bin count changes). The static background dominates most bins and is
-// bit-identical frame to frame, so the XOR zeroes the high bytes and the
-// gzip layer compresses them away — while the transform stays exactly
-// lossless, including NaN payloads.
+// Only the antenna body differs, and the header's Sample field picks it:
 //
-// Version 2 adds a second sweep-domain record encoding (Header.Sample
-// == SampleInt16): quantized ADC codes instead of float64 samples. Its
-// frame record keeps the index/truths prefix and per-antenna framing,
-// but each antenna's body is
+//   - float64 (Sample "", bin or sweep domain): count complex
+//     values, each (re, im) as IEEE-754 bit patterns XORed against the
+//     same value of the previous frame. The static background dominates
+//     most bins and is bit-identical frame to frame, so the XOR zeroes
+//     the high bytes and gzip compresses them away, while the transform
+//     stays exactly lossless, NaN payloads included.
+//   - int16 (SampleInt16, sweep domain only): count quantized ADC codes
+//     (SweepsPerFrame × SamplesPerSweep), each the wrapping int16
+//     difference against the same code of the previous frame. The static
+//     background synthesizes to identical codes frame after frame, so
+//     the deltas zero it out entirely, leaving quantization-scale noise:
+//     4x smaller raw than float64 and far more compressible.
 //
-//	count      uint32   samples (SweepsPerFrame × SamplesPerSweep)
-//	samples    count × int16 little-endian, delta-coded
-//
-// where each sample is stored as the wrapping int16 difference against
-// the same sample of the previous frame (zero for the first frame, or
-// when the count changes) — exactly invertible, and because the static
-// background synthesizes to identical codes frame after frame, the
-// deltas zero it out entirely, leaving only quantization-scale noise
-// for gzip: 4x smaller raw than the float64 encoding and far more
-// compressible than XOR'd float64 noise mantissas. The stream ends
-// with a trailer:
+// Either delta starts from zero for the first frame, or when an
+// antenna's count changes. The stream ends with a trailer:
 //
 //	sentinel   uint32   0xFFFFFFFF
 //	frames     uint64   total frame count
@@ -205,6 +200,19 @@ func (h *Header) Validate() error {
 		if h.SweepsPerFrame <= 0 || h.SamplesPerSweep <= 0 {
 			return fmt.Errorf("%w: sweep-domain trace needs positive sweep shape, got %d × %d",
 				ErrCorrupt, h.SweepsPerFrame, h.SamplesPerSweep)
+		}
+		// Bound the shape in uint64: an int product can wrap to a small
+		// sample count that fits a short record, then size a decoder
+		// allocation by the unwrapped factors. A shape whose smallest
+		// record exceeds maxPayloadLen is unreadable anyway.
+		width := uint64(8) // float64 samples pack two to a 16-byte value
+		if h.Sample == SampleInt16 {
+			width = 2
+		}
+		spf, ns := uint64(h.SweepsPerFrame), uint64(h.SamplesPerSweep)
+		if spf > maxPayloadLen || ns > maxPayloadLen || 5+uint64(h.NumRx)*(4+spf*ns*width) > maxPayloadLen {
+			return fmt.Errorf("%w: sweep shape %d × %d does not fit a %d-byte frame record",
+				ErrCorrupt, h.SweepsPerFrame, h.SamplesPerSweep, maxPayloadLen)
 		}
 		switch h.Sample {
 		case "":

@@ -4,6 +4,7 @@ import (
 	"compress/gzip"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -149,84 +150,11 @@ func (tr *Reader) ReadFrameInto(dst []dsp.ComplexFrame) ([]dsp.ComplexFrame, mot
 // tdst, both reused when correctly sized. It returns io.EOF after the
 // last frame, or an error wrapping ErrCorrupt on any damage.
 func (tr *Reader) ReadFrameTruthsInto(dst []dsp.ComplexFrame, tdst []motion.BodyState) ([]dsp.ComplexFrame, []motion.BodyState, error) {
-	if tr.err != nil {
-		return nil, nil, tr.err
-	}
-	if tr.done {
-		return nil, nil, io.EOF
-	}
-	if tr.h.Sample == SampleInt16 {
-		return nil, nil, tr.fail("complex-frame read on a %s-sample trace (use ReadFrameInt16Into)", SampleInt16)
-	}
-
-	payload, err := tr.nextRecord()
-	if err != nil {
+	rec := frameRecord{frames: dst, truths: tdst[:0]}
+	if err := tr.read("", &rec); err != nil {
 		return nil, nil, err
 	}
-
-	c := cursor{b: payload}
-	idx := c.u32()
-	if int(idx) != tr.seq {
-		if c.bad {
-			return nil, nil, tr.fail("frame record too short")
-		}
-		return nil, nil, tr.fail("frame index %d out of sequence (want %d)", idx, tr.seq)
-	}
-	count := int(c.u8())
-	if c.bad {
-		return nil, nil, tr.fail("frame record too short")
-	}
-	if count > MaxTruths {
-		return nil, nil, tr.fail("frame %d: truth count %d exceeds limit %d", tr.seq, count, MaxTruths)
-	}
-	truths := tdst[:0]
-	for i := 0; i < count; i++ {
-		s := c.bodyState()
-		if c.bad {
-			return nil, nil, tr.fail("frame %d: record too short for %d truth states", tr.seq, count)
-		}
-		truths = append(truths, s)
-	}
-
-	if len(dst) != tr.h.NumRx {
-		dst = make([]dsp.ComplexFrame, tr.h.NumRx)
-	}
-	for k := 0; k < tr.h.NumRx; k++ {
-		// Bound-check in uint64 before converting: a corrupt 2^31..2^32
-		// bin count must not go negative (and panic in make) on 32-bit
-		// platforms, nor overflow the 16*bins product.
-		bins32 := c.u32()
-		if c.bad || uint64(bins32)*16 > uint64(c.rem()) {
-			return nil, nil, tr.fail("frame %d antenna %d: record too short for %d bins", tr.seq, k, bins32)
-		}
-		bins := int(bins32)
-		if len(dst[k]) != bins {
-			dst[k] = make(dsp.ComplexFrame, bins)
-		}
-		if len(tr.prev[k]) != 2*bins {
-			tr.prev[k] = make([]uint64, 2*bins)
-		}
-		p := tr.prev[k]
-		for i := 0; i < bins; i++ {
-			re := c.u64() ^ p[2*i]
-			im := c.u64() ^ p[2*i+1]
-			p[2*i], p[2*i+1] = re, im
-			dst[k][i] = complex(math.Float64frombits(re), math.Float64frombits(im))
-		}
-	}
-	if c.bad {
-		return nil, nil, tr.fail("frame %d: record too short", tr.seq)
-	}
-	if c.rem() != 0 {
-		return nil, nil, tr.fail("frame %d: %d trailing bytes in record", tr.seq, c.rem())
-	}
-	tr.lastIdx = int(idx)
-	tr.n++
-	tr.seq++
-	if count == 0 {
-		truths = nil
-	}
-	return dst, truths, nil
+	return rec.frames, rec.truths, nil
 }
 
 // ReadFrameInt16Into decodes the next quantized sweep-domain frame of a
@@ -236,84 +164,153 @@ func (tr *Reader) ReadFrameTruthsInto(dst []dsp.ComplexFrame, tdst []motion.Body
 // decode into tdst exactly as in ReadFrameTruthsInto. It returns io.EOF
 // after the last frame, or an error wrapping ErrCorrupt on any damage.
 func (tr *Reader) ReadFrameInt16Into(dst [][]int16, tdst []motion.BodyState) ([][]int16, []motion.BodyState, error) {
-	if tr.err != nil {
-		return nil, nil, tr.err
-	}
-	if tr.done {
-		return nil, nil, io.EOF
-	}
-	if tr.h.Sample != SampleInt16 {
-		return nil, nil, tr.fail("int16 read on a %q-sample trace", tr.h.Sample)
-	}
-
-	payload, err := tr.nextRecord()
-	if err != nil {
+	rec := frameRecord{codes: dst, truths: tdst[:0]}
+	if err := tr.read(SampleInt16, &rec); err != nil {
 		return nil, nil, err
 	}
+	return rec.codes, rec.truths, nil
+}
 
-	c := cursor{b: payload}
-	idx := c.u32()
-	if int(idx) != tr.seq {
-		if c.bad {
-			return nil, nil, tr.fail("frame record too short")
-		}
-		return nil, nil, tr.fail("frame index %d out of sequence (want %d)", idx, tr.seq)
+// frameRecord is one decoded frame record: its index, its ground truths
+// (nil for a truthless frame), and per antenna either float64 frames or
+// int16 codes, whichever the trace's sample encoding holds.
+type frameRecord struct {
+	index  int
+	truths []motion.BodyState
+	frames []dsp.ComplexFrame
+	codes  [][]int16
+}
+
+// read decodes the next record of a trace whose sample encoding is
+// sample into rec, enforcing the record sequence.
+func (tr *Reader) read(sample string, rec *frameRecord) error {
+	if tr.err != nil {
+		return tr.err
 	}
+	if tr.done {
+		return io.EOF
+	}
+	if sample != tr.h.Sample {
+		return tr.fail("%s read on a %s trace", sampleName(sample), sampleName(tr.h.Sample))
+	}
+	payload, err := tr.nextRecord()
+	if err != nil {
+		return err
+	}
+	if err := tr.parse(payload, rec); err != nil {
+		return tr.fail("frame %d: %v", tr.seq, err)
+	}
+	if rec.index != tr.seq {
+		return tr.fail("frame index %d out of sequence (want %d)", rec.index, tr.seq)
+	}
+	tr.lastIdx = rec.index
+	tr.n++
+	tr.seq++
+	if len(rec.truths) == 0 {
+		rec.truths = nil
+	}
+	return nil
+}
+
+// sampleName names a sample encoding in error messages.
+func sampleName(sample string) string {
+	if sample == "" {
+		return "float64-sample"
+	}
+	return sample + "-sample"
+}
+
+// parse decodes one record payload: the index and truth prefix, then
+// NumRx antenna bodies, each a uint32 count followed by that many
+// values applied to the antenna's delta chain — XOR'd float64 bit pairs
+// or wrapping int16 deltas, per the header's sample encoding. The
+// decoded antenna then lands in rec.frames or rec.codes, resized when
+// mis-shaped. A nil rec is a salvage pass: the prefix is skipped and the
+// bodies only advance the chain. Every length is bounds-checked before
+// use, so damage yields an error, never a panic.
+func (tr *Reader) parse(payload []byte, rec *frameRecord) error {
+	c := cursor{b: payload}
+	index := c.u32()
 	count := int(c.u8())
 	if c.bad {
-		return nil, nil, tr.fail("frame record too short")
+		return errors.New("record too short")
 	}
 	if count > MaxTruths {
-		return nil, nil, tr.fail("frame %d: truth count %d exceeds limit %d", tr.seq, count, MaxTruths)
+		return fmt.Errorf("truth count %d exceeds limit %d", count, MaxTruths)
 	}
-	truths := tdst[:0]
 	for i := 0; i < count; i++ {
 		s := c.bodyState()
 		if c.bad {
-			return nil, nil, tr.fail("frame %d: record too short for %d truth states", tr.seq, count)
+			return fmt.Errorf("record too short for %d truth states", count)
 		}
-		truths = append(truths, s)
+		if rec != nil {
+			rec.truths = append(rec.truths, s)
+		}
 	}
-
-	if len(dst) != tr.h.NumRx {
-		dst = make([][]int16, tr.h.NumRx)
+	int16s := tr.h.Sample == SampleInt16
+	width := uint64(16) // one complex value: two XOR'd float64 bit patterns
+	if int16s {
+		width = 2
+	}
+	if rec != nil {
+		rec.index = int(index)
+		if int16s && len(rec.codes) != tr.h.NumRx {
+			rec.codes = make([][]int16, tr.h.NumRx)
+		}
+		if !int16s && len(rec.frames) != tr.h.NumRx {
+			rec.frames = make([]dsp.ComplexFrame, tr.h.NumRx)
+		}
 	}
 	for k := 0; k < tr.h.NumRx; k++ {
-		// Same uint64 bound discipline as the float64 path: a corrupt
-		// count must fail cleanly, not allocate gigabytes or go negative.
+		// Bound-check in uint64 before converting: a corrupt 2^31..2^32
+		// count must not go negative (and panic in make) on 32-bit
+		// platforms, nor overflow the byte-size product.
 		n32 := c.u32()
-		if c.bad || uint64(n32)*2 > uint64(c.rem()) {
-			return nil, nil, tr.fail("frame %d antenna %d: record too short for %d samples", tr.seq, k, n32)
+		if c.bad || uint64(n32)*width > uint64(c.rem()) {
+			return fmt.Errorf("antenna %d: record too short for %d values", k, n32)
 		}
 		n := int(n32)
-		if len(dst[k]) != n {
-			dst[k] = make([]int16, n)
+		body := c.take(n * int(width))
+		// A first-ever record or a count change starts the antenna's
+		// chain from zero, as the writer's does.
+		switch tr.h.Sample {
+		case SampleInt16:
+			if len(tr.prev16[k]) != n {
+				tr.prev16[k] = make([]int16, n)
+			}
+			p := tr.prev16[k]
+			for i := range p {
+				// Wrapping addition inverts the writer's wrapping
+				// subtraction exactly.
+				p[i] += int16(binary.LittleEndian.Uint16(body[2*i:]))
+			}
+			if rec != nil {
+				rec.codes[k] = append(rec.codes[k][:0], p...)
+			}
+		default:
+			if len(tr.prev[k]) != 2*n {
+				tr.prev[k] = make([]uint64, 2*n)
+			}
+			p := tr.prev[k]
+			for i := range p {
+				p[i] ^= binary.LittleEndian.Uint64(body[8*i:])
+			}
+			if rec != nil {
+				f := rec.frames[k]
+				if len(f) != n {
+					f = make(dsp.ComplexFrame, n)
+				}
+				for i := range f {
+					f[i] = complex(math.Float64frombits(p[2*i]), math.Float64frombits(p[2*i+1]))
+				}
+				rec.frames[k] = f
+			}
 		}
-		if len(tr.prev16[k]) != n {
-			tr.prev16[k] = make([]int16, n)
-		}
-		p := tr.prev16[k]
-		for i := 0; i < n; i++ {
-			// Wrapping addition inverts the writer's wrapping subtraction
-			// exactly.
-			v := p[i] + int16(c.u16())
-			p[i] = v
-			dst[k][i] = v
-		}
-	}
-	if c.bad {
-		return nil, nil, tr.fail("frame %d: record too short", tr.seq)
 	}
 	if c.rem() != 0 {
-		return nil, nil, tr.fail("frame %d: %d trailing bytes in record", tr.seq, c.rem())
+		return fmt.Errorf("%d trailing bytes in record", c.rem())
 	}
-	tr.lastIdx = int(idx)
-	tr.n++
-	tr.seq++
-	if count == 0 {
-		truths = nil
-	}
-	return dst, truths, nil
+	return nil
 }
 
 // nextRecord reads the next framed record from the gzip stream: length
@@ -345,14 +342,14 @@ func (tr *Reader) nextRecord() ([]byte, error) {
 		}
 		if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(pre[:]); got != want {
 			if tr.rec {
-				// Recover mode: advance the delta chain through the
-				// damaged record when its structure still parses, count
-				// the skip, and resync at the next record.
-				if tr.h.Sample == SampleInt16 {
-					tr.salvageInt16(payload)
-				} else {
-					tr.salvage(payload)
-				}
+				// Recover mode: apply the damaged record's deltas to the
+				// chain as far as its structure still parses, count the
+				// skip, and resync at the next record. Skipping the
+				// deltas would corrupt every later frame wherever
+				// consecutive frames differ; applying them confines the
+				// error to the flipped bits, and resyncs bit-exactly when
+				// the flip hit the stored CRC instead of the payload.
+				tr.parse(payload, nil)
 				tr.skipped++
 				tr.seq++
 				continue
@@ -360,83 +357,6 @@ func (tr *Reader) nextRecord() ([]byte, error) {
 			return nil, tr.fail("frame %d CRC %#08x != stored %#08x", tr.seq, got, want)
 		}
 		return payload, nil
-	}
-}
-
-// salvage best-effort advances the XOR-delta chain through a CRC-failed
-// record: every frame is stored as a delta against its predecessor, so
-// a skipped record whose deltas were not applied would corrupt every
-// later frame wherever consecutive frames differ. Applying the damaged
-// delta instead confines the downstream error to exactly the flipped
-// bits — and when the flip landed in the stored CRC rather than the
-// payload, the chain resyncs bit-exactly. Structural damage (the layout
-// itself no longer parses) leaves the chain stale mid-record; the
-// pipeline's always-on health monitoring quarantines what either kind
-// of damage leaves behind.
-func (tr *Reader) salvage(payload []byte) {
-	c := cursor{b: payload}
-	c.u32() // index
-	count := int(c.u8())
-	if c.bad || count > MaxTruths {
-		return
-	}
-	for i := 0; i < count; i++ {
-		c.bodyState()
-		if c.bad {
-			return
-		}
-	}
-	for k := 0; k < tr.h.NumRx; k++ {
-		bins32 := c.u32()
-		if c.bad || uint64(bins32)*16 > uint64(c.rem()) {
-			return
-		}
-		bins := int(bins32)
-		if len(tr.prev[k]) != 2*bins {
-			// First-ever record, or a bin-count change: the chain slot
-			// starts from zero (the writer XORs frame 0 against zero).
-			tr.prev[k] = make([]uint64, 2*bins)
-		}
-		p := tr.prev[k]
-		for i := 0; i < bins; i++ {
-			p[2*i] ^= c.u64()
-			p[2*i+1] ^= c.u64()
-		}
-	}
-}
-
-// salvageInt16 is salvage for the int16 delta chain: the wrapping
-// deltas of a CRC-failed record are applied to prev16 so later frames
-// decode against the right predecessor, confining the damage to the
-// flipped samples themselves.
-func (tr *Reader) salvageInt16(payload []byte) {
-	c := cursor{b: payload}
-	c.u32() // index
-	count := int(c.u8())
-	if c.bad || count > MaxTruths {
-		return
-	}
-	for i := 0; i < count; i++ {
-		c.bodyState()
-		if c.bad {
-			return
-		}
-	}
-	for k := 0; k < tr.h.NumRx; k++ {
-		n32 := c.u32()
-		if c.bad || uint64(n32)*2 > uint64(c.rem()) {
-			return
-		}
-		n := int(n32)
-		if len(tr.prev16[k]) != n {
-			// First-ever record, or a sample-count change: the chain slot
-			// starts from zero (the writer deltas frame 0 against zero).
-			tr.prev16[k] = make([]int16, n)
-		}
-		p := tr.prev16[k]
-		for i := 0; i < n; i++ {
-			p[i] += int16(c.u16())
-		}
 	}
 }
 
@@ -498,14 +418,11 @@ func (c *cursor) u8() byte {
 	return v
 }
 
-func (c *cursor) u16() uint16 {
-	if c.rem() < 2 {
-		c.bad = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(c.b[c.i:])
-	c.i += 2
-	return v
+// take returns the next n bytes, which the caller has bounds-checked.
+func (c *cursor) take(n int) []byte {
+	b := c.b[c.i : c.i+n]
+	c.i += n
+	return b
 }
 
 func (c *cursor) u32() uint32 {

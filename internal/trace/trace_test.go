@@ -399,12 +399,44 @@ func TestBadMagicRejected(t *testing.T) {
 }
 
 func TestHeaderValidation(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := NewWriter(&buf, Header{Interval: 0.0125}); err == nil {
-		t.Fatal("header without antennas must be rejected")
+	sweeps := func(sample string, spf, ns int) func(*Header) {
+		return func(h *Header) {
+			*h = testHeaderInt16(3)
+			h.SweepsPerFrame, h.SamplesPerSweep = spf, ns
+			if sample == "" {
+				h.Sample, h.ADCBits, h.ADCScale = "", 0, 0
+			}
+		}
 	}
-	if _, err := NewWriter(&buf, Header{NumRx: 3}); err == nil {
-		t.Fatal("header without frame interval must be rejected")
+	cases := []struct {
+		name   string
+		mutate func(*Header)
+		ok     bool
+	}{
+		{"valid", func(*Header) {}, true},
+		{"no antennas", func(h *Header) { h.NumRx = 0 }, false},
+		{"no frame interval", func(h *Header) { h.Interval = 0 }, false},
+		{"default radio float64 sweeps", sweeps("", 5, 2500), true},
+		{"default radio int16 sweeps", sweeps(SampleInt16, 5, 2500), true},
+		// 2^62+1 sweeps of 4 samples (on 64-bit ints) wrap the int
+		// product to 4 samples: a 2-value record would "fit" and the
+		// decoder would size its per-sweep views by the unwrapped count.
+		{"float64 shape product overflows", sweeps("", math.MaxInt>>1+2, 4), false},
+		{"int16 shape product overflows", sweeps(SampleInt16, math.MaxInt>>1+2, 4), false},
+		{"float64 shape exceeds record limit", sweeps("", 1<<12, 1<<10), false},
+		{"int16 shape exceeds record limit", sweeps(SampleInt16, 1<<12, 1<<12), false},
+	}
+	for _, tc := range cases {
+		h := testHeader(3)
+		tc.mutate(&h)
+		var buf bytes.Buffer
+		_, err := NewWriter(&buf, h)
+		if tc.ok && err != nil {
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: want ErrCorrupt, got %v", tc.name, err)
+		}
 	}
 }
 

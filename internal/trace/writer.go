@@ -21,8 +21,7 @@ import (
 type Writer struct {
 	w      io.Writer
 	zw     *gzip.Writer
-	nRx    int
-	sample string
+	h      Header
 	buf    []byte
 	prev   [][]uint64 // per antenna, previous frame's raw bits (re, im interleaved)
 	prev16 [][]int16  // per antenna, previous frame's codes (int16 traces)
@@ -71,13 +70,16 @@ func NewWriter(w io.Writer, h Header) (*Writer, error) {
 	return &Writer{
 		w:      w,
 		zw:     zw,
-		nRx:    h.NumRx,
-		sample: h.Sample,
+		h:      h,
 		prev:   make([][]uint64, h.NumRx),
 		prev16: make([][]int16, h.NumRx),
 		raw:    int64(len(pre)),
 	}, nil
 }
+
+// Header returns the trace metadata the writer was opened with: its
+// domain and sample encoding say which WriteFrame* form records go in.
+func (tw *Writer) Header() Header { return tw.h }
 
 // Frames returns how many frames have been written.
 func (tw *Writer) Frames() int { return tw.n }
@@ -104,27 +106,9 @@ func (tw *Writer) WriteFrame(frames []dsp.ComplexFrame, truth *motion.BodyState)
 // and empty truth sets encode byte-identically to WriteFrame, so the
 // two entry points are interchangeable for k <= 1.
 func (tw *Writer) WriteFrameTruths(frames []dsp.ComplexFrame, truths []motion.BodyState) error {
-	if tw.err != nil {
-		return tw.err
-	}
-	if tw.closed {
-		return fmt.Errorf("trace: WriteFrame after Close")
-	}
-	if tw.sample == SampleInt16 {
-		return fmt.Errorf("trace: WriteFrameTruths on a %s-sample trace (use WriteFrameInt16)", SampleInt16)
-	}
-	if len(frames) != tw.nRx {
-		return fmt.Errorf("trace: frame has %d antennas, header says %d", len(frames), tw.nRx)
-	}
-	if len(truths) > MaxTruths {
-		return fmt.Errorf("trace: %d ground-truth states per frame (max %d)", len(truths), MaxTruths)
-	}
-
-	b := tw.buf[:0]
-	b = binary.LittleEndian.AppendUint32(b, uint32(tw.n))
-	b = append(b, byte(len(truths)))
-	for i := range truths {
-		b = appendBodyState(b, &truths[i])
+	b, err := tw.begin("", len(frames), truths)
+	if err != nil {
+		return err
 	}
 	for k, f := range frames {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(f)))
@@ -139,7 +123,6 @@ func (tw *Writer) WriteFrameTruths(frames []dsp.ComplexFrame, truths []motion.Bo
 			p[2*i], p[2*i+1] = re, im
 		}
 	}
-	tw.buf = b
 	return tw.writeRecord(b)
 }
 
@@ -160,27 +143,9 @@ func (tw *Writer) WriteFrameInt16(sweeps [][]int16, truth *motion.BodyState) err
 // WriteFrameInt16Truths is WriteFrameInt16 carrying one ground-truth
 // BodyState per tracked subject.
 func (tw *Writer) WriteFrameInt16Truths(sweeps [][]int16, truths []motion.BodyState) error {
-	if tw.err != nil {
-		return tw.err
-	}
-	if tw.closed {
-		return fmt.Errorf("trace: WriteFrame after Close")
-	}
-	if tw.sample != SampleInt16 {
-		return fmt.Errorf("trace: WriteFrameInt16Truths on a %q-sample trace", tw.sample)
-	}
-	if len(sweeps) != tw.nRx {
-		return fmt.Errorf("trace: frame has %d antennas, header says %d", len(sweeps), tw.nRx)
-	}
-	if len(truths) > MaxTruths {
-		return fmt.Errorf("trace: %d ground-truth states per frame (max %d)", len(truths), MaxTruths)
-	}
-
-	b := tw.buf[:0]
-	b = binary.LittleEndian.AppendUint32(b, uint32(tw.n))
-	b = append(b, byte(len(truths)))
-	for i := range truths {
-		b = appendBodyState(b, &truths[i])
+	b, err := tw.begin(SampleInt16, len(sweeps), truths)
+	if err != nil {
+		return err
 	}
 	for k, codes := range sweeps {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(codes)))
@@ -195,13 +160,42 @@ func (tw *Writer) WriteFrameInt16Truths(sweeps [][]int16, truths []motion.BodySt
 			p[i] = v
 		}
 	}
-	tw.buf = b
 	return tw.writeRecord(b)
 }
 
+// begin checks one frame of the given sample encoding against the
+// header and starts its record in the reusable buffer: the index and
+// truth prefix every encoding shares. The caller appends the antenna
+// bodies and hands the record to writeRecord.
+func (tw *Writer) begin(sample string, nRx int, truths []motion.BodyState) ([]byte, error) {
+	if tw.err != nil {
+		return nil, tw.err
+	}
+	if tw.closed {
+		return nil, fmt.Errorf("trace: WriteFrame after Close")
+	}
+	if sample != tw.h.Sample {
+		return nil, fmt.Errorf("trace: %s write on a %s trace", sampleName(sample), sampleName(tw.h.Sample))
+	}
+	if nRx != tw.h.NumRx {
+		return nil, fmt.Errorf("trace: frame has %d antennas, header says %d", nRx, tw.h.NumRx)
+	}
+	if len(truths) > MaxTruths {
+		return nil, fmt.Errorf("trace: %d ground-truth states per frame (max %d)", len(truths), MaxTruths)
+	}
+	b := binary.LittleEndian.AppendUint32(tw.buf[:0], uint32(tw.n))
+	b = append(b, byte(len(truths)))
+	for i := range truths {
+		b = appendBodyState(b, &truths[i])
+	}
+	return b, nil
+}
+
 // writeRecord frames one encoded payload into the gzip stream:
-// length prefix, payload, payload CRC.
+// length prefix, payload, payload CRC. It keeps b as the reusable
+// record buffer.
 func (tw *Writer) writeRecord(b []byte) error {
+	tw.buf = b
 	if len(b) > maxPayloadLen {
 		tw.err = fmt.Errorf("trace: frame record is %d bytes (max %d)", len(b), maxPayloadLen)
 		return tw.err
